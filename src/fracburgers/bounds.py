@@ -41,19 +41,13 @@ class ConsistencyError(RuntimeError):
     """Internal cross-check between two equivalent formulas failed."""
 
 
-def _check_alpha(order: FractionalOrder) -> float:
-    # alpha = 1 is accepted as the documented closure of every formula here
-    # (upper bound exactly 1, lower bound exactly 1/(1+delta)).
-    return order.alpha
-
-
 def upper_bound_b(order: FractionalOrder) -> float:
     """Upper bound (1/Gamma(2-alpha))^(1/alpha) on the blow-up time.
 
     Returns exactly 1.0 at alpha = 1 (the classical blow-up time for a
     unitary initial slope).
     """
-    a = _check_alpha(order)
+    a = order.alpha
     if a == 1.0:
         return 1.0
     # exp(-log(Gamma(2-a))/a) keeps full precision for small alpha, where the
@@ -84,13 +78,18 @@ class LowerBoundConstants:
 def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundConstants:
     """Compute the subsolution constants and cross-check the two T formulas.
 
+    alpha = 1 is accepted as the closure of the formulas: T is then exactly
+    1/(1+delta).
+
     Raises :class:`ConsistencyError` if the directly assembled horizon
     T = 1/b - (1+eta)d and its closed form
     c_delta^((1-alpha)/alpha) / (Gamma(2-alpha)^(1/alpha) (1+delta))
     disagree beyond 1e-10 relative: they are provably equal, so disagreement
-    means the implementation is wrong.
+    means the implementation is wrong. Also raises it for small alpha
+    (below about 0.0075 at delta = 0.5), where d underflows or a overflows
+    double precision: T is then below the smallest double.
     """
-    a = _check_alpha(order)
+    a = order.alpha
     delta = float(delta)
     if not np.isfinite(delta) or delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
@@ -98,8 +97,14 @@ def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundCon
     kappa = math.sqrt(1.0 + delta) - 1.0
     eta = (1.0 + kappa) ** 2 / kappa ** 2
     lg = log_gamma(2.0 - a)
-    d = math.exp(-(lg + math.log(kappa * eta * (1.0 + eta))) / a)
-    const_a = math.exp(lg - (1.0 - a) * math.log(d))
+    try:
+        d = math.exp(-(lg + math.log(kappa * eta * (1.0 + eta))) / a)
+        const_a = math.exp(lg - (1.0 - a) * math.log(d))
+    except (ValueError, OverflowError) as exc:  # log(0) of an underflowed d, or exp overflow
+        raise ConsistencyError(
+            f"lower-bound constants leave double precision (alpha={a}, delta={delta}): "
+            f"the horizon T is below the smallest double"
+        ) from exc
     const_b = (1.0 + kappa) * const_a
     T = 1.0 / const_b - (1.0 + eta) * d
     c_delta = kappa ** 3 / ((1.0 + kappa) ** 2 * (1.0 + 2.0 * kappa + 2.0 * kappa ** 2))

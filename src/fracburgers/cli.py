@@ -59,15 +59,29 @@ def _write_manifest(path: Path, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _manifest(subcommand: str, parameters: dict, grids: dict, outputs: list[str], t0: float) -> dict:
+def _manifest(args: argparse.Namespace, grids: dict, outputs: list[str], t0: float) -> dict:
+    # every option of the subcommand except the output directory, in parser order
+    parameters = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "out")}
     return {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "parameters": parameters,
         "version": __version__,
         "grids": grids,
         "outputs": outputs,
         "duration_seconds": _time.perf_counter() - t0,
     }
+
+
+def _write_product(args: argparse.Namespace, header: list[str], rows, grids: dict, t0: float, **status) -> int:
+    """Write <subcommand>.csv and <subcommand>_manifest.json into --out."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path = out / f"{args.subcommand}.csv"
+    _write_csv(csv_path, header, rows)
+    manifest = _manifest(args, grids, [str(csv_path)], t0)
+    manifest.update(status)
+    _write_manifest(out / f"{args.subcommand}_manifest.json", manifest)
+    return 0
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -85,7 +99,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "upper_bound": _bounds.upper_bound_b(order),
         "limit_upper_bound": _bounds.limit_upper_bound(),
     }
-    params = {"alpha": args.alpha, "delta": args.delta}
     if args.delta is not None:
         c = _bounds.lower_bound_constants(order, args.delta)
         report["lower_bound"] = c.T
@@ -99,7 +112,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "T": c.T,
             "c_delta": c.c_delta,
         }
-    report["manifest"] = _manifest("bounds", params, {}, [], t0)
+    report["manifest"] = _manifest(args, {}, [], t0)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -112,26 +125,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         traj = _fode.solve_capped(args.cap, args.v0, order, config)
     else:
         traj = _fode.solve(_fode.Nonlinearity.square(), args.v0, order, config)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "solve.csv"
-    _write_csv(csv_path, ["t", "v"], zip(traj.times, traj.values))
-    params = {
-        "alpha": args.alpha,
-        "h": args.h,
-        "t_max": args.t_max,
-        "cap": args.cap,
-        "v0": args.v0,
-        "threshold": args.threshold,
-        "sweeps": args.sweeps,
-    }
     grids = {"time": {"step": config.step, "count": traj.samples.grid.count}}
-    manifest = _manifest("solve", params, grids, [str(csv_path)], t0)
-    manifest["status"] = traj.status
-    manifest["escape_time"] = traj.escape_time
-    _write_manifest(out / "solve_manifest.json", manifest)
-    return 0
+    return _write_product(
+        args, ["t", "v"], zip(traj.times, traj.values), grids, t0,
+        status=traj.status, escape_time=traj.escape_time,
+    )
 
 
 def _cmd_blowup(args: argparse.Namespace) -> int:
@@ -146,14 +144,6 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
             f"numeric bracket [{est.t_lo}, {est.t_hi}] falls outside the theoretical "
             f"sandwich [{lower}, {upper}] (alpha={order.alpha}, delta={args.delta})"
         )
-    params = {
-        "alpha": args.alpha,
-        "threshold": args.threshold,
-        "refinements": args.refinements,
-        "step": args.step,
-        "horizon": args.horizon,
-        "delta": args.delta,
-    }
     report = {
         "alpha": order.alpha,
         "t_lo": est.t_lo,
@@ -163,7 +153,7 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
         "refinement_trace": [
             {"step": s, "threshold": x, "escape_time": e} for (s, x, e) in est.refinement_trace
         ],
-        "manifest": _manifest("blowup", params, {}, [], t0),
+        "manifest": _manifest(args, {}, [], t0),
     }
     print(json.dumps(report, indent=2))
     return 0
@@ -177,26 +167,9 @@ def _cmd_impulse(args: argparse.Namespace) -> int:
     count = max(1, int(round(args.t_max / args.h)))
     grid = TimeGrid(args.h, count)
     table = _impulse.impulse_table(train, alphas, grid)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "impulse.csv"
-    rows = (
-        [t] + list(table.values[i]) for i, t in enumerate(table.times)
-    )
-    _write_csv(csv_path, ["t"] + table.column_labels, rows)
-    params = {
-        "alphas": args.alphas,
-        "times": args.times,
-        "h": args.h,
-        "t_max": args.t_max,
-    }
+    rows = ([t] + list(table.values[i]) for i, t in enumerate(table.times))
     grids = {"time": {"step": grid.step, "count": grid.count}}
-    _write_manifest(
-        out / "impulse_manifest.json",
-        _manifest("impulse", params, grids, [str(csv_path)], t0),
-    )
-    return 0
+    return _write_product(args, ["t"] + table.column_labels, rows, grids, t0)
 
 
 def _read_sampled_csv(path: str) -> SampledFunction:
@@ -227,17 +200,8 @@ def _cmd_caputo(args: argparse.Namespace) -> int:
         result = classical_derivative(f)
     else:
         result = caputo_left(f, order)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "caputo.csv"
-    _write_csv(csv_path, ["t", "caputo"], zip(result.times, result.values))
-    params = {"alpha": args.alpha, "input": str(args.input)}
     grids = {"time": {"step": f.grid.step, "count": f.grid.count}}
-    _write_manifest(
-        out / "caputo_manifest.json",
-        _manifest("caputo", params, grids, [str(csv_path)], t0),
-    )
-    return 0
+    return _write_product(args, ["t", "caputo"], zip(result.times, result.values), grids, t0)
 
 
 def _parse_initial(kind: str, form: str, x: np.ndarray) -> np.ndarray:
@@ -285,37 +249,19 @@ def _cmd_pde(args: argparse.Namespace) -> int:
     else:
         fieldhist = _pde.solve_rho(initial, order, spatial, tgrid, bc, escape_threshold=args.threshold)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "pde.csv"
-
     def rows():
         for i, t in enumerate(fieldhist.times):
             for j, xx in enumerate(fieldhist.x):
                 yield (t, xx, fieldhist.slices[i, j])
 
-    _write_csv(csv_path, ["t", "x", "value"], rows())
-    params = {
-        "form": args.form,
-        "alpha": args.alpha,
-        "cells": args.cells,
-        "h": args.h,
-        "t_max": args.t_max,
-        "bc": args.bc,
-        "initial": args.initial,
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-        "threshold": args.threshold,
-    }
     grids = {
         "time": {"step": tgrid.step, "count": fieldhist.time.count},
         "space": {"x_min": spatial.x_min, "x_max": spatial.x_max, "cells": spatial.cells},
     }
-    manifest = _manifest("pde", params, grids, [str(csv_path)], t0)
-    manifest["status"] = fieldhist.status
-    manifest["escape_index"] = fieldhist.escape_index
-    _write_manifest(out / "pde_manifest.json", manifest)
-    return 0
+    return _write_product(
+        args, ["t", "x", "value"], rows(), grids, t0,
+        status=fieldhist.status, escape_index=fieldhist.escape_index,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,13 +2,15 @@
 
 Solves ^C D^alpha v = f(v), v(0) = v0 through the equivalent Volterra
 integral form with a product-integration predictor-corrector: predictor by
-product-rectangle weights, corrector by product-trapezoid weights (the same
-weights as frac_ops.rl_fractional_integral, so the corrector fixed point is
-the discrete Volterra equation itself). alpha = 1 is routed to an explicit
-second-order one-step method.
+product-rectangle weights, corrector by product-trapezoid weights. Both come
+from the frac_ops tables; the corrector reads the same tables as
+frac_ops.rl_fractional_integral, so its fixed point is the discrete Volterra
+equation itself. alpha = 1 is routed to an explicit second-order one-step
+method.
 
-Marching keeps the full O(N^2) history: the memory term is the object under
-study, so no windowing or kernel compression is applied.
+Marching keeps the full O(N^2) history in frac_ops.LaggedSum: the memory
+term is the object under study, so no windowing or kernel compression is
+applied.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ import numpy as np
 
 from .frac_ops import (
     FractionalOrder,
+    LaggedSum,
     SampledFunction,
     TimeGrid,
+    _power_increments,
+    _pt_interior_weights,
+    _pt_left_boundary_weights,
     rl_fractional_integral,
 )
 from .specfun import gamma
@@ -205,40 +211,33 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
     n_steps = config.n_steps
     threshold = config.escape_threshold
     sweeps = config.corrector_sweeps
-
-    # Predictor weights by lag k: integral of the kernel over one panel,
-    # value frozen at the left node. Corrector interior weights by lag k.
-    k = np.arange(n_steps + 2, dtype=float)
-    w_pred = k ** alpha - np.maximum(k - 1.0, 0.0) ** alpha
-    d_corr = (k + 1.0) ** (alpha + 1.0) + np.abs(k - 1.0) ** (alpha + 1.0) - 2.0 * k ** (alpha + 1.0)
-    w_pred_r = w_pred[::-1].copy()
-    d_corr_r = d_corr[::-1].copy()
-    L = n_steps + 2
     c_pred = h ** alpha / gamma(alpha + 1.0)
     c_corr = h ** alpha / gamma(alpha + 2.0)
 
-    v = np.empty(n_steps + 1)
-    fv = np.empty(n_steps + 1)
-    v[0] = v0
-    fv[0] = f(v0)
+    # Predictor: product-rectangle weights on f(v_0..v_n). Corrector: the
+    # product-trapezoid left-boundary weight on f(v_0), interior weights on
+    # f(v_1..v_n). Python floats keep the per-step scalar work cheap.
+    predictor = LaggedSum(_power_increments(alpha, n_steps + 1))
+    corrector = LaggedSum(_pt_interior_weights(alpha, n_steps))
+    left = _pt_left_boundary_weights(alpha, n_steps).tolist()
+    f0 = float(f(v0))
+    predictor.append(f0)
+    values = [v0]
     for n in range(n_steps):
-        m = n + 1
-        # predictor: lags m..1 against f(v_0..v_n)
-        vp = v0 + c_pred * float(np.dot(w_pred_r[L - m - 1 : L - 1], fv[:m]))
-        # corrector history: left-boundary weight on f(v_0), interior lags m-1..1
-        hist = (n ** (alpha + 1.0) - (n - alpha) * m ** alpha) * fv[0]
-        if n >= 1:
-            hist += float(np.dot(d_corr_r[L - m : L - 1], fv[1:m]))
+        vp = v0 + c_pred * float(predictor.value())
+        hist = left[n] * f0 + float(corrector.value())
         vn = vp
         for _ in range(sweeps):
             vn = v0 + c_corr * (hist + f(vn))
         if not math.isfinite(vn):
-            return _finish(list(v[:m]), h, m)
-        v[m] = vn
-        fv[m] = f(vn)
+            return _finish(values, h, n + 1)
+        values.append(vn)
         if abs(vn) > threshold:
-            return _finish(list(v[: m + 1]), h, m)
-    return _finish(list(v), h, None)
+            return _finish(values, h, n + 1)
+        fn = f(vn)
+        predictor.append(fn)
+        corrector.append(fn)
+    return _finish(values, h, None)
 
 
 def solve(f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig) -> Trajectory:
@@ -267,9 +266,11 @@ def solve_capped(cap: float, v0: float, order: FractionalOrder, config: SolverCo
 def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder) -> float:
     """Max abs defect of the trajectory in the discrete Volterra equation.
 
-    Substitutes the computed values into v0 + I^alpha[f(v)] evaluated with the
-    product-trapezoid weights of frac_ops (an independent code path from the
-    marching loop) and returns the worst node mismatch.
+    Substitutes the computed values into v0 + I^alpha[f(v)] evaluated by
+    frac_ops.rl_fractional_integral and returns the worst node mismatch. The
+    march and the residual share the product-trapezoid weight tables; only
+    the summation path is independent (a batch convolution here, incremental
+    lagged sums in the march).
     """
     fv = SampledFunction(traj.samples.grid, np.array([f(r) for r in traj.values]))
     rhs = traj.values[0] + rl_fractional_integral(fv, order).values

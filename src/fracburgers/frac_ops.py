@@ -6,16 +6,24 @@ and closed-form evaluation of the right Riemann-Liouville derivative of the
 power test function (1 - t/T)^lam together with its two integrals.
 
 Both quadratures are exact on piecewise-linear data, which is what makes the
-exactness contracts in the tests sharp. The memory convolutions are the
-reference O(N^2) kind: no history compression, no windowing. All reductions
-run in a fixed order on fixed-shape arrays, so repeated runs are
-bit-identical.
+exactness contracts in the tests sharp.
+
+Every weight formula of the package lives here: one power-increment table
+(k+1)^p - k^p gives the L1 weights (p = 1 - alpha) and the product-rectangle
+predictor weights (p = alpha), beside the product-trapezoid interior and
+left-boundary tables. The tables are rebuilt per call, not cached. The
+marching solvers (fode, pde) take their memory terms from one incremental
+primitive, :class:`LaggedSum`; :func:`caputo_left` and
+:func:`rl_fractional_integral` evaluate the same sums as batch convolutions,
+an independent summation path the tests and the Volterra residual compare the
+marches against. The memory sums are the reference O(N^2) kind: no history
+compression, no windowing. All reductions run in a fixed order on
+fixed-shape arrays, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,6 +35,7 @@ __all__ = [
     "TimeGrid",
     "SampledFunction",
     "PowerTestFunction",
+    "LaggedSum",
     "caputo_left",
     "classical_derivative",
     "rl_fractional_integral",
@@ -118,31 +127,53 @@ class SampledFunction:
         return float(np.interp(t, self.times, self.values))
 
 
-@lru_cache(maxsize=128)
-def _l1_weights(alpha: float, count: int) -> np.ndarray:
-    """b_k = (k+1)^(1-alpha) - k^(1-alpha) for k = 0..count-1 (read-only)."""
+def _power_increments(p: float, count: int) -> np.ndarray:
+    """(k+1)^p - k^p for k = 0..count-1.
+
+    With p = 1 - alpha these are the L1 weights b_k; with p = alpha they are
+    the product-rectangle (predictor) weights of lag k + 1.
+    """
     k = np.arange(count, dtype=float)
-    b = (k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)
-    b.flags.writeable = False
-    return b
+    return (k + 1.0) ** p - k ** p
 
 
-@lru_cache(maxsize=128)
 def _pt_interior_weights(alpha: float, count: int) -> np.ndarray:
     """Product-trapezoid interior weights d_k = (k+1)^(a+1) + (k-1)^(a+1) - 2k^(a+1), k >= 1."""
     k = np.arange(1, count + 1, dtype=float)
-    d = (k + 1.0) ** (alpha + 1.0) + (k - 1.0) ** (alpha + 1.0) - 2.0 * k ** (alpha + 1.0)
-    d.flags.writeable = False
-    return d
+    return (k + 1.0) ** (alpha + 1.0) + (k - 1.0) ** (alpha + 1.0) - 2.0 * k ** (alpha + 1.0)
 
 
-@lru_cache(maxsize=128)
 def _pt_left_boundary_weights(alpha: float, count: int) -> np.ndarray:
     """Weight of g(t_0) in the product-trapezoid rule targeted at t_n, n = 1..count."""
     n = np.arange(1, count + 1, dtype=float)
-    a0 = (n - 1.0) ** (alpha + 1.0) - n ** alpha * (n - alpha - 1.0)
-    a0.flags.writeable = False
-    return a0
+    return (n - 1.0) ** (alpha + 1.0) - n ** alpha * (n - alpha - 1.0)
+
+
+class LaggedSum:
+    """Running lagged sum s_n = sum_{k=1}^{n} w_k g_{n-k} over a growing history.
+
+    The history g_0, g_1, ... gains one entry per step (a scalar, or a row of
+    the given shape) in a buffer preallocated for len(weights) entries;
+    weights[k - 1] is w_k. An empty history sums to 0. Every marching scheme
+    in the package takes its memory term from here.
+    """
+
+    __slots__ = ("_reversed", "_history", "_size")
+
+    def __init__(self, weights: np.ndarray, shape: tuple[int, ...] = ()):
+        # w_K..w_1: s_n dots the last n of these with g_0..g_{n-1}
+        self._reversed = np.ascontiguousarray(weights[::-1], dtype=float)
+        self._history = np.empty((self._reversed.size, *shape))
+        self._size = 0
+
+    def append(self, g) -> None:
+        self._history[self._size] = g
+        self._size += 1
+
+    def value(self):
+        """s_n for the n entries appended so far."""
+        n = self._size
+        return np.dot(self._reversed[self._reversed.size - n :], self._history[:n])
 
 
 def caputo_left(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
@@ -156,7 +187,7 @@ def caputo_left(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
     n = f.grid.count
     h = f.grid.step
     df = np.diff(f.values)
-    b = _l1_weights(order.alpha, n)
+    b = _power_increments(1.0 - order.alpha, n)
     out = np.zeros(n + 1)
     out[1:] = np.convolve(df, b)[:n]
     out[1:] *= h ** (-order.alpha) / gamma(2.0 - order.alpha)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .fode import Trajectory
-from .frac_ops import FractionalOrder, TimeGrid, _l1_weights
+from .frac_ops import FractionalOrder, LaggedSum, TimeGrid, _power_increments
 from .specfun import gamma
 
 __all__ = [
@@ -184,12 +184,9 @@ def _march(
     dt_eff = g2 * h ** alpha
     cfl_scale = h ** alpha / (g2 * dx)
 
-    b = _l1_weights(alpha, n_steps)
-    br = b[::-1].copy()
-    nb = b.size
-
+    # L1 weights b_1..b_N on the past slice differences u^(n-k) - u^(n-k-1)
+    memory = LaggedSum(_power_increments(1.0 - alpha, n_steps + 1)[1:], x.shape)
     slices = np.empty((n_steps + 1, x.size))
-    diffs = np.empty((n_steps, x.size))
     slices[0] = u0
 
     def finish(last: int, status: str, escape_index: int | None) -> FieldHistory:
@@ -207,10 +204,10 @@ def _march(
         if ratio > 0.5 + 1e-12:
             raise CflError(node_max, n, ratio)
 
+        hist = memory.value()
         if periodic:
             f_right = _godunov_flux(prev, np.roll(prev, -1), flux, s_min)
             div = (f_right - np.roll(f_right, 1)) / dx
-            hist = np.dot(br[nb - n : nb - 1], diffs[: n - 1]) if n > 1 else 0.0
             new = prev - hist - dt_eff * div
         else:
             f_iface = _godunov_flux(prev[:-1], prev[1:], flux, s_min)
@@ -218,13 +215,12 @@ def _march(
             t_n = n * h
             new[0] = bc.callback(spatial.x_min, t_n)
             new[-1] = bc.callback(spatial.x_max, t_n)
-            hist = np.dot(br[nb - n : nb - 1], diffs[: n - 1, 1:-1]) if n > 1 else 0.0
-            new[1:-1] = prev[1:-1] - hist - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
+            new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
 
         if not np.all(np.isfinite(new)):
             return finish(n - 1, "escaped", n)
         slices[n] = new
-        diffs[n - 1] = new - prev
+        memory.append(new - prev)
         if float(np.max(np.abs(new))) > escape_threshold:
             return finish(n, "escaped", n)
     return finish(n_steps, "completed", None)

@@ -125,6 +125,13 @@ class TestLowerBoundConstants:
         with pytest.raises(ValueError):
             lower_bound_constants(FO(0.5), -1.0)
 
+    @pytest.mark.parametrize("alpha", [1e-3, 5e-3, 7.4e-3])
+    def test_unrepresentable_small_order_raises(self, alpha):
+        # T is below the smallest double here (about exp(-756)/1.5 at 0.007):
+        # d underflows to 0, or the constant a overflows
+        with pytest.raises(ConsistencyError, match="double precision"):
+            lower_bound_constants(FO(alpha), 0.5)
+
     def test_sandwich_orders(self):
         for delta in (0.1, 0.5, 1.0, 3.0):
             for a in np.linspace(0.05, 0.95, 15):

@@ -94,6 +94,11 @@ class TestBlowup:
         assert report["sandwich"]["upper"] == 1.0
         assert len(report["refinement_trace"]) == 12
 
+    def test_unrepresentable_lower_bound_exits_3(self, capsys):
+        assert main(["blowup", "--alpha", "0.005"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_no_blowup_exits_4(self):
         rc = main(["blowup", "--alpha", "0.9", "--horizon", "0.05", "--step", "0.001"])
         assert rc == 4
@@ -190,6 +195,32 @@ class TestPde:
             "--initial", "bogus", "--out", str(tmp_path),
         ])
         assert rc == 2
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["bounds", "--alpha", "0.5"], ["alpha", "delta"]),
+    (["blowup", "--alpha", "1"], ["alpha", "threshold", "refinements", "step", "horizon", "delta"]),
+    (["solve", "--alpha", "0.5", "--h", "0.01", "--t-max", "0.1"],
+     ["alpha", "h", "t_max", "cap", "v0", "threshold", "sweeps"]),
+    (["impulse", "--t-max", "1"], ["alphas", "times", "h", "t_max"]),
+    (["caputo", "--alpha", "0.5", "--input", "in.csv"], ["alpha", "input"]),
+    (["pde", "--form", "rho", "--alpha", "0.5", "--cells", "16", "--h", "0.0001", "--t-max", "0.001",
+      "--bc", "periodic", "--initial", "market-critical"],
+     ["form", "alpha", "cells", "h", "t_max", "bc", "initial", "x_min", "x_max", "threshold"]),
+])
+def test_manifest_parameters_follow_parser_order(tmp_path, capsys, argv, keys):
+    if argv[0] == "caputo":
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        (tmp_path / "in.csv").write_text("t,f\n0.0,0.0\n0.1,0.1\n0.2,0.4\n")
+    if argv[0] in ("bounds", "blowup"):
+        rc, report = run_json(capsys, argv)
+        manifest = report["manifest"]
+    else:
+        rc = main(argv + ["--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+    assert rc == 0
+    assert list(manifest["parameters"]) == keys
+    assert list(manifest)[:6] == ["subcommand", "parameters", "version", "grids", "outputs", "duration_seconds"]
 
 
 def test_version_flag():

@@ -2,6 +2,8 @@
 explicit solution, barrier/monotonicity properties, the capped construction,
 the Volterra self-consistency check, and blow-up bracketing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,29 @@ from fracburgers import (
 )
 
 SQUARE = Nonlinearity.square()
+
+
+def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
+    """The PECE scheme for v' = v^2, written out weight by weight in a double loop."""
+    c_pred = h ** alpha / math.gamma(alpha + 1.0)
+    c_corr = h ** alpha / math.gamma(alpha + 2.0)
+    v, fv = [v0], [v0 * v0]
+    for m in range(1, n_steps + 1):
+        pred = 0.0
+        for j in range(m):  # product rectangle, lag k = m - j
+            k = m - j
+            pred += (k ** alpha - (k - 1) ** alpha) * fv[j]
+        # product trapezoid: left-boundary weight on f(v_0), interior on f(v_1..v_{m-1})
+        hist = ((m - 1) ** (alpha + 1.0) - m ** alpha * (m - alpha - 1.0)) * fv[0]
+        for j in range(1, m):
+            k = m - j
+            hist += ((k + 1) ** (alpha + 1.0) + (k - 1) ** (alpha + 1.0) - 2.0 * k ** (alpha + 1.0)) * fv[j]
+        vn = v0 + c_pred * pred
+        for _ in range(sweeps):
+            vn = v0 + c_corr * (hist + vn * vn)
+        v.append(vn)
+        fv.append(vn * vn)
+    return np.array(v)
 
 
 class TestConfig:
@@ -114,6 +139,18 @@ class TestSolve:
         traj = solve(SQUARE, 1.0, order, SolverConfig(1e-3, 0.15, corrector_sweeps=12))
         assert traj.status == "completed"
         assert volterra_residual(traj, SQUARE, order) <= 1e-10
+
+    # 200 steps reach about half the blow-up time (0.023 at alpha = 0.3, 0.46 at 0.7)
+    @pytest.mark.parametrize("alpha, h", [(0.3, 5e-5), (0.7, 1e-3)])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_matches_direct_scheme(self, alpha, h, sweeps):
+        # the incremental memory sums reproduce the scheme evaluated term by
+        # term; only the summation order differs
+        n_steps = 200
+        traj = solve(SQUARE, 1.0, FractionalOrder(alpha), SolverConfig(h, n_steps * h, corrector_sweeps=sweeps))
+        assert traj.status == "completed" and traj.values.size == n_steps + 1
+        ref = _pece_direct(alpha, h, n_steps, sweeps)
+        assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
 
     def test_escape_semantics(self):
         order = FractionalOrder(0.5)

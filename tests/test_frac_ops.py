@@ -171,7 +171,7 @@ class TestCaputo:
         assert observed >= 2.0 - alpha - 0.2
 
     def test_concurrent_evaluation_is_deterministic(self):
-        # weight cache must tolerate concurrent readers
+        # concurrent callers share no mutable state
         f = sample(lambda t: np.sin(t), 1e-3, 400)
         order = FractionalOrder(0.5)
         ref = caputo_left(f, order).values

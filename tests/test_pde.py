@@ -2,6 +2,8 @@
 equivalence between the two flux forms, CFL enforcement, monotone extrema,
 product-form fields, and the lazy rescaling description."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,35 @@ from fracburgers import (
 
 def FO(a):
     return FractionalOrder(a)
+
+
+def _l1_godunov_direct(u0, alpha, h, dx, n_steps, boundary=None):
+    """The L1 / Godunov march for u^2/2, its history sum written out term by term.
+
+    Periodic when `boundary` is None, else Dirichlet with boundary(x_index, t).
+    """
+    b = [(k + 1) ** (1.0 - alpha) - k ** (1.0 - alpha) for k in range(n_steps)]
+    dt_eff = math.gamma(2.0 - alpha) * h ** alpha
+
+    def flux(left, right):
+        return np.maximum(0.5 * np.maximum(left, 0.0) ** 2, 0.5 * np.minimum(right, 0.0) ** 2)
+
+    u = [np.array(u0, dtype=float)]
+    for n in range(1, n_steps + 1):
+        prev = u[-1]
+        hist = np.zeros_like(prev)
+        for k in range(1, n):
+            hist += b[k] * (u[n - k] - u[n - k - 1])
+        if boundary is None:
+            f_right = flux(prev, np.roll(prev, -1))
+            new = prev - hist - dt_eff * (f_right - np.roll(f_right, 1)) / dx
+        else:
+            f_iface = flux(prev[:-1], prev[1:])
+            new = prev - hist
+            new[1:-1] -= dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
+            new[0], new[-1] = boundary(0, n * h), boundary(-1, n * h)
+        u.append(new)
+    return np.array(u)
 
 
 class TestTypes:
@@ -127,6 +158,35 @@ class TestConservationAndTransform:
         assert np.all(rho_to_u(half).slices == 0.0)
         ones = solve_rho(np.full(16, 1.0), FO(0.5), sp, tg, BoundaryRule.periodic())
         assert np.all(rho_to_u(ones).slices == 1.0)
+
+
+class TestDirectScheme:
+    # the incremental memory sum reproduces the L1 history
+    # sum_k b_k (u^(n-k) - u^(n-k-1)) evaluated term by term
+    @pytest.mark.parametrize("alpha", [0.4, 0.8])
+    def test_periodic_matches_direct_scheme(self, alpha):
+        grid, n_steps = SpatialGrid(-1.0, 1.0, 16), 60
+        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx) ** (1.0 / alpha)  # CFL ratio 0.25 * max|u|
+        x = grid.nodes(periodic=True)
+        u0 = 0.8 * np.sin(np.pi * x) + 0.3
+        fh = solve_u(u0, FO(alpha), grid, TimeGrid(h, n_steps), BoundaryRule.periodic())
+        ref = _l1_godunov_direct(u0, alpha, h, grid.dx, n_steps)
+        assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.8])
+    def test_dirichlet_matches_direct_scheme(self, alpha):
+        grid, n_steps = SpatialGrid(-1.0, 1.0, 16), 60
+        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx) ** (1.0 / alpha)  # CFL ratio 0.25 * max|u|
+        x = grid.nodes(periodic=False)
+        u0 = -0.8 * x + 0.2 * np.cos(np.pi * x)
+
+        def edge(x_end, t):
+            return (-0.8 * x_end - 0.2) * (1.0 + t)
+
+        bc = BoundaryRule.dirichlet(edge)
+        fh = solve_u(u0, FO(alpha), grid, TimeGrid(h, n_steps), bc)
+        ref = _l1_godunov_direct(u0, alpha, h, grid.dx, n_steps, lambda i, t: edge(x[i], t))
+        assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSchemeGuards:
