@@ -38,6 +38,7 @@ from .frac_ops import (
     caputo_left,
     classical_derivative,
     phi_test_integrals,
+    phi_test_integrals_elementary,
     phi_test_integrals_quadrature,
     phi_value,
     rl_fractional_integral,
@@ -86,6 +87,7 @@ __all__ = [
     "rl_right_derivative_phi",
     "phi_test_integrals",
     "phi_test_integrals_quadrature",
+    "phi_test_integrals_elementary",
     # fode
     "Nonlinearity",
     "SolverConfig",

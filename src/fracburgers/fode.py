@@ -190,12 +190,13 @@ def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajec
     """Explicit trapezoid (Heun) marching for the alpha = 1 limit."""
     h = config.step
     threshold = config.escape_threshold
+    rhs = f.fn
     values = [v0]
     v = v0
     for n in range(config.n_steps):
-        fv = f(v)
+        fv = rhs(v)
         vp = v + h * fv
-        vn = v + 0.5 * h * (fv + f(vp))
+        vn = v + 0.5 * h * (fv + rhs(vp))
         if not math.isfinite(vn):
             return _finish(values, h, n + 1)
         values.append(vn)
@@ -216,11 +217,13 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
 
     # Predictor: product-rectangle weights on f(v_0..v_n). Corrector: the
     # product-trapezoid left-boundary weight on f(v_0), interior weights on
-    # f(v_1..v_n). Python floats keep the per-step scalar work cheap.
+    # f(v_1..v_n). Python floats and the bound f.fn keep the per-step scalar
+    # work cheap.
+    rhs = f.fn
     predictor = LaggedSum(_power_increments(alpha, n_steps + 1))
     corrector = LaggedSum(_pt_interior_weights(alpha, n_steps))
     left = _pt_left_boundary_weights(alpha, n_steps).tolist()
-    f0 = float(f(v0))
+    f0 = float(rhs(v0))
     predictor.append(f0)
     values = [v0]
     for n in range(n_steps):
@@ -228,15 +231,15 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
         hist = left[n] * f0 + float(corrector.value())
         vn = vp
         for _ in range(sweeps):
-            vn = v0 + c_corr * (hist + f(vn))
+            vn = v0 + c_corr * (hist + rhs(vn))
         if not math.isfinite(vn):
             return _finish(values, h, n + 1)
         values.append(vn)
         if abs(vn) > threshold:
             return _finish(values, h, n + 1)
-        fn = f(vn)
-        predictor.append(fn)
-        corrector.append(fn)
+        fv = rhs(vn)
+        predictor.append(fv)
+        corrector.append(fv)
     return _finish(values, h, None)
 
 
@@ -286,14 +289,20 @@ def estimate_blowup(
 ) -> BlowupEstimate:
     """Bracket the blow-up time of ^C D^alpha v = v^2, v(0) = 1.
 
-    Runs the solver over a (step, threshold) ladder: the seed step halved
-    `refinements` times and the seed threshold multiplied by
-    `threshold_growth` `threshold_levels - 1` times. The upper end of the
-    bracket is the escape time at the finest step and largest threshold plus
-    one step; the lower end subtracts a Richardson-style correction taken
-    from the last step-halving difference. No growth-rate model is assumed.
+    Reads a (step, threshold) ladder: the seed step halved `refinements`
+    times and the seed threshold multiplied by `threshold_growth`
+    `threshold_levels - 1` times. The threshold only decides where a march
+    stops, so each step runs one march, at the largest threshold, and the
+    escape index of every smaller threshold x is read from that trajectory:
+    the first node with |v| > x, or the node where the march overflowed if
+    no finite value exceeds x. The trace is the one a separate march per
+    (step, threshold) pair would give. The upper end of the bracket is the
+    escape time at the finest step and largest threshold plus one step; the
+    lower end subtracts a Richardson-style correction taken from the last
+    step-halving difference. No growth-rate model is assumed.
 
-    Raises :class:`NoBlowupDetected` if any ladder run completes its horizon
+    Raises :class:`NoBlowupDetected`, carrying the trace read so far, at the
+    first (step, threshold) pair whose march would complete its horizon
     without escaping; a partial ladder never yields a fabricated estimate.
     """
     if refinements < 1:
@@ -304,27 +313,33 @@ def estimate_blowup(
         raise ValueError(f"threshold_growth must be > 1, got {threshold_growth}")
 
     f = Nonlinearity.square()
+    horizon, sweeps = config_seed.horizon, config_seed.corrector_sweeps
     steps = [config_seed.step / 2.0 ** i for i in range(refinements + 1)]
     thresholds = [config_seed.escape_threshold * threshold_growth ** i for i in range(threshold_levels)]
+    for x in thresholds:
+        _validate(f, 1.0, SolverConfig(steps[0], horizon, x, sweeps))
 
     trace: list[tuple[float, float, float]] = []
-    escape: dict[tuple[int, int], float] = {}
-    for i, h in enumerate(steps):
-        for j, x in enumerate(thresholds):
-            cfg = SolverConfig(h, config_seed.horizon, x, config_seed.corrector_sweeps)
-            traj = solve(f, 1.0, order, cfg)
-            if traj.status != "escaped":
+    for h in steps:
+        traj = solve(f, 1.0, order, SolverConfig(h, horizon, thresholds[-1], sweeps))
+        magnitude = np.abs(traj.values)
+        for x in thresholds:
+            above = np.flatnonzero(magnitude > x)
+            if above.size:
+                idx = int(above[0])
+            elif traj.status == "escaped":
+                idx = traj.escape_index  # overflowed before any finite value exceeded x
+            else:
                 raise NoBlowupDetected(
-                    f"no blow-up detected below horizon {config_seed.horizon} "
+                    f"no blow-up detected below horizon {horizon} "
                     f"(step {h:g}, threshold {x:g})",
                     trace,
                 )
-            t_esc = traj.escape_time
-            trace.append((h, x, t_esc))
-            escape[(i, j)] = t_esc
+            trace.append((h, x, idx * traj.samples.grid.step))
 
-    e_fine = escape[(refinements, threshold_levels - 1)]
-    e_prev = escape[(refinements - 1, threshold_levels - 1)]
+    # the finest and the next-coarser step, both at the largest threshold
+    e_fine = trace[-1][2]
+    e_prev = trace[-1 - threshold_levels][2]
     h_fine = steps[-1]
     t_hi = e_fine + h_fine
     correction = abs(e_prev - e_fine) + h_fine

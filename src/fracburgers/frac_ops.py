@@ -11,7 +11,8 @@ exactness contracts in the tests sharp.
 Every weight formula of the package lives here: one power-increment table
 (k+1)^p - k^p gives the L1 weights (p = 1 - alpha) and the product-rectangle
 predictor weights (p = alpha), beside the product-trapezoid interior and
-left-boundary tables. The tables are rebuilt per call, not cached. The
+left-boundary tables; all of them are differences of shifted slices of one
+power table k^p. The tables are rebuilt per call, not cached. The
 marching solvers (fode, pde) take their memory terms from one incremental
 primitive, :class:`LaggedSum`; :func:`caputo_left` and
 :func:`rl_fractional_integral` evaluate the same sums as batch convolutions,
@@ -43,6 +44,7 @@ __all__ = [
     "rl_right_derivative_phi",
     "phi_test_integrals",
     "phi_test_integrals_quadrature",
+    "phi_test_integrals_elementary",
 ]
 
 
@@ -127,26 +129,31 @@ class SampledFunction:
         return float(np.interp(t, self.times, self.values))
 
 
+def _powers(p: float, count: int) -> np.ndarray:
+    """k^p for k = 0..count; the weight tables below are differences of it."""
+    return np.arange(count + 1, dtype=float) ** p
+
+
 def _power_increments(p: float, count: int) -> np.ndarray:
     """(k+1)^p - k^p for k = 0..count-1.
 
     With p = 1 - alpha these are the L1 weights b_k; with p = alpha they are
     the product-rectangle (predictor) weights of lag k + 1.
     """
-    k = np.arange(count, dtype=float)
-    return (k + 1.0) ** p - k ** p
+    q = _powers(p, count)
+    return q[1:] - q[:-1]
 
 
 def _pt_interior_weights(alpha: float, count: int) -> np.ndarray:
     """Product-trapezoid interior weights d_k = (k+1)^(a+1) + (k-1)^(a+1) - 2k^(a+1), k >= 1."""
-    k = np.arange(1, count + 1, dtype=float)
-    return (k + 1.0) ** (alpha + 1.0) + (k - 1.0) ** (alpha + 1.0) - 2.0 * k ** (alpha + 1.0)
+    q = _powers(alpha + 1.0, count + 1)
+    return q[2:] + q[:-2] - 2.0 * q[1:-1]
 
 
 def _pt_left_boundary_weights(alpha: float, count: int) -> np.ndarray:
     """Weight of g(t_0) in the product-trapezoid rule targeted at t_n, n = 1..count."""
     n = np.arange(1, count + 1, dtype=float)
-    return (n - 1.0) ** (alpha + 1.0) - n ** alpha * (n - alpha - 1.0)
+    return _powers(alpha + 1.0, count)[:-1] - _powers(alpha, count)[1:] * (n - alpha - 1.0)
 
 
 class LaggedSum:
@@ -285,8 +292,13 @@ def phi_test_integrals(phi: PowerTestFunction, order: FractionalOrder) -> tuple[
     Returned exactly as the stated closed forms; see
     :func:`phi_test_integrals_quadrature` for the independent numeric route,
     which is known to disagree with these values by an O(1) factor (the
-    T-scaling T^(1-alpha), T^(1-2alpha) agrees). The tests report the
-    discrepancy rather than resolving it.
+    T-scaling T^(1-alpha), T^(1-2alpha) agrees). The misprint is in the
+    prefactor: where the right-RL derivative carries
+    Gamma(lam+1)/Gamma(lam+1-alpha), these forms use
+    lam*Gamma(lam-alpha)/Gamma(lam+1-2alpha).
+    :func:`phi_test_integrals_elementary` integrates the derivative in closed
+    form and matches the quadrature route. The values here are kept as
+    printed; the tests report the discrepancy rather than resolving it.
     """
     lam, T, a = _check_phi_gamma_args(phi, order)
     i1 = lam * gamma(lam - a) / ((lam - a + 1.0) * gamma(lam - 2.0 * a + 1.0)) * T ** (1.0 - a)
@@ -310,4 +322,18 @@ def phi_test_integrals_quadrature(
 
     i1, _ = quad(dphi, 0.0, T, limit=200)
     i2, _ = quad(lambda t: dphi(t) ** 2 / phi_value(phi, t), 0.0, T, limit=200)
+    return i1, i2
+
+
+def phi_test_integrals_elementary(phi: PowerTestFunction, order: FractionalOrder) -> tuple[float, float]:
+    """The same two integrals from the elementary antiderivative of the right-RL derivative.
+
+    With C = Gamma(lam+1)/Gamma(lam+1-alpha) the derivative is
+    C T^(-alpha) (1-t/T)^(lam-alpha), so the integrals are
+    Gamma(lam+1)/Gamma(lam+2-alpha) T^(1-alpha) and
+    C^2 T^(1-2alpha)/(lam+1-2alpha).
+    """
+    lam, T, a = _check_phi_gamma_args(phi, order)
+    i1 = gamma(lam + 1.0) / gamma(lam + 2.0 - a) * T ** (1.0 - a)
+    i2 = (gamma(lam + 1.0) / gamma(lam + 1.0 - a)) ** 2 * T ** (1.0 - 2.0 * a) / (lam + 1.0 - 2.0 * a)
     return i1, i2

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracburgers import fode
 from fracburgers import (
     FractionalOrder,
     NoBlowupDetected,
@@ -46,6 +49,25 @@ def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
         v.append(vn)
         fv.append(vn * vn)
     return np.array(v)
+
+
+def _ladder_direct(order, seed, refinements=3, threshold_levels=3, threshold_growth=100.0):
+    """The blow-up ladder as one solve per (step, threshold) pair: (t_lo, t_hi, trace)."""
+    steps = [seed.step / 2.0 ** i for i in range(refinements + 1)]
+    thresholds = [seed.escape_threshold * threshold_growth ** i for i in range(threshold_levels)]
+    trace = []
+    for h in steps:
+        for x in thresholds:
+            traj = solve(SQUARE, 1.0, order, SolverConfig(h, seed.horizon, x, seed.corrector_sweeps))
+            if traj.status != "escaped":
+                raise NoBlowupDetected(
+                    f"no blow-up detected below horizon {seed.horizon} (step {h:g}, threshold {x:g})", trace
+                )
+            trace.append((h, x, traj.escape_time))
+    e_fine, e_prev, h_fine = trace[-1][2], trace[-1 - threshold_levels][2], steps[-1]
+    t_hi = e_fine + h_fine
+    t_lo = min(max(e_fine - (abs(e_prev - e_fine) + h_fine), 0.5 * h_fine), t_hi)
+    return t_lo, t_hi, trace
 
 
 class TestConfig:
@@ -161,6 +183,31 @@ class TestSolve:
         assert np.all(np.abs(traj.values[:-1]) <= 10.0)
         assert traj.escape_time == pytest.approx(traj.times[-1])
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(0.05, 1.0),
+        step=st.floats(2e-4, 2e-3),
+        horizon=st.floats(0.05, 1.7),
+        low_exp=st.floats(0.1, 8.0),
+        gap_exp=st.floats(0.1, 6.0),
+        sweeps=st.integers(0, 2),
+    )
+    def test_escape_index_read_from_larger_threshold(self, alpha, step, horizon, low_exp, gap_exp, sweeps):
+        # the threshold only decides where a march stops: a march at x < X
+        # stops exactly at the first node of the X trajectory with |v| > x
+        x, big = 10.0 ** low_exp, 10.0 ** (low_exp + gap_exp)
+        order = FractionalOrder(alpha)
+        at_x = solve(SQUARE, 1.0, order, SolverConfig(step, horizon, x, sweeps))
+        at_big = solve(SQUARE, 1.0, order, SolverConfig(step, horizon, big, sweeps))
+        above = np.flatnonzero(np.abs(at_big.values) > x)
+        if above.size == 0:
+            assert at_big.status == "completed" and at_x.status == "completed"
+            assert np.array_equal(at_x.values, at_big.values)
+        else:
+            idx = int(above[0])
+            assert at_x.status == "escaped" and at_x.escape_index == idx
+            assert np.array_equal(at_x.values, at_big.values[: idx + 1])
+
 
 class TestCapped:
     def test_cap_floor(self):
@@ -212,6 +259,63 @@ class TestBlowupEstimate:
             ladder = [sorted(by_step[s])[k][1] for s in steps]
             assert all(ladder[i] >= ladder[i + 1] for i in range(len(ladder) - 1))
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9, 1.0])
+    def test_matches_one_solve_per_rung(self, alpha):
+        order = FractionalOrder(alpha)
+        seed = SolverConfig(8e-4, 1.7)
+        est = estimate_blowup(order, seed)
+        assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
+
+    def test_threshold_equal_to_a_node_value_is_not_an_escape(self):
+        # escape needs |v| > x strictly, also when x is exactly a node value
+        order = FractionalOrder(0.5)
+        traj = solve(SQUARE, 1.0, order, SolverConfig(8e-4, 1.7))
+        seed = SolverConfig(8e-4, 1.7, escape_threshold=float(traj.values[100]))
+        est = estimate_blowup(order, seed, refinements=1)
+        assert est.refinement_trace[0] == (8e-4, traj.values[100], 101 * 8e-4)
+        assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed, refinements=1)
+
+    @pytest.mark.parametrize("refinements", [1, 3])
+    def test_one_solve_per_step(self, monkeypatch, refinements):
+        calls = []
+        original = fode.solve
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fode, "solve", counting)
+        est = estimate_blowup(FractionalOrder(0.5), SolverConfig(8e-4, 1.7), refinements=refinements)
+        assert len(calls) == refinements + 1
+        assert {c.escape_threshold for c in calls} == {1e10}
+        assert len(est.refinement_trace) == 3 * (refinements + 1)
+
+    def test_partial_trace_names_first_missing_rung(self):
+        # the horizon of 225 coarse steps lets the two lower thresholds escape
+        # but not the top one, so the ladder stops at its third rung
+        order = FractionalOrder(0.5)
+        seed = SolverConfig(8e-4, 225 * 8e-4)
+        with pytest.raises(NoBlowupDetected, match=r"threshold 1e\+10\)") as got:
+            estimate_blowup(order, seed, refinements=1)
+        with pytest.raises(NoBlowupDetected) as want:
+            _ladder_direct(order, seed, refinements=1)
+        assert str(got.value) == str(want.value)
+        assert len(got.value.trace) == 2
+        assert got.value.trace == want.value.trace
+
+    def test_overflow_escape_read_for_every_threshold(self):
+        # with thresholds from 1e300, v^2 overflows before any finite value
+        # exceeds them on the coarser steps, so all their rungs read the
+        # overflow node (the finest step passes 1e300 at a finite 8.5e303)
+        order = FractionalOrder(0.5)
+        seed = SolverConfig(8e-4, 1.7, escape_threshold=1e300)
+        est = estimate_blowup(order, seed)
+        by_step = {}
+        for step, _, escape in est.refinement_trace:
+            by_step.setdefault(step, set()).add(escape)
+        assert any(len(escapes) == 1 for escapes in by_step.values())
+        assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
+
     def test_no_blowup_below_horizon(self):
         with pytest.raises(NoBlowupDetected):
             estimate_blowup(FractionalOrder(0.9), SolverConfig(1e-3, 0.05), refinements=1)
@@ -224,3 +328,6 @@ class TestBlowupEstimate:
             estimate_blowup(FractionalOrder(0.5), seed, threshold_levels=1)
         with pytest.raises(ValueError):
             estimate_blowup(FractionalOrder(0.5), seed, threshold_growth=0.5)
+        # the lowest threshold must exceed v(0) = 1 even though only the top one is marched
+        with pytest.raises(ValueError, match="must exceed"):
+            estimate_blowup(FractionalOrder(0.5), SolverConfig(1e-3, 1.7, escape_threshold=0.5))

@@ -16,6 +16,7 @@ from fracburgers import (
     classical_derivative,
     gamma,
     phi_test_integrals,
+    phi_test_integrals_elementary,
     phi_test_integrals_quadrature,
     phi_value,
     rl_fractional_integral,
@@ -307,3 +308,14 @@ class TestPhiIntegrals:
             f"printed=({p1:.12g}, {p2:.12g}) quadrature=({q1:.12g}, {q2:.12g}) "
             f"relative discrepancy=({rel1:.4f}, {rel2:.4f})"
         )
+
+    @pytest.mark.parametrize("lam, alpha, horizon", [(2.0, 0.5, 1.0), (3.0, 0.25, 2.0), (5.5, 0.8, 0.7)])
+    def test_elementary_route_matches_quadrature(self, lam, alpha, horizon):
+        # the third route integrates the validated derivative by hand; it
+        # agrees with quadrature, which places the misprint in the printed forms
+        phi = PowerTestFunction(lam, horizon)
+        order = FractionalOrder(alpha)
+        e1, e2 = phi_test_integrals_elementary(phi, order)
+        q1, q2 = phi_test_integrals_quadrature(phi, order)
+        assert e1 == pytest.approx(q1, rel=1e-10)
+        assert e2 == pytest.approx(q2, rel=1e-10)
