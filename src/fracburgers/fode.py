@@ -8,14 +8,16 @@ frac_ops.rl_fractional_integral, so its fixed point is the discrete Volterra
 equation itself. alpha = 1 is routed to an explicit second-order one-step
 method.
 
-Marching keeps the full O(N^2) history in frac_ops.LaggedSum: the memory
-term is the object under study, so no windowing or kernel compression is
-applied.
+Marching keeps the full history of f(v_0..v_n) in one frac_ops.LaggedSum
+with two weight rows, predictor and corrector, which evaluates the full sums
+in O(N log^2 N) by an exact blocked-FFT reordering: the memory term is the
+object under study, so no windowing or kernel compression is applied.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,8 +29,7 @@ from .frac_ops import (
     SampledFunction,
     TimeGrid,
     _power_increments,
-    _pt_interior_weights,
-    _pt_left_boundary_weights,
+    _pt_weights,
     rl_fractional_integral,
 )
 from .specfun import gamma
@@ -206,6 +207,43 @@ def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajec
     return _finish(values, h, None)
 
 
+class _MarchTables:
+    """Weight tables of one fractional march, grown fourfold as the march needs more lags.
+
+    `rows` holds the product-rectangle (predictor) and product-trapezoid
+    interior (corrector) weights of lags 1..size. The corrector row also
+    applies its lag-(n+1) weight to f(v_0), so `edge[n]` is the left-boundary
+    weight of target n + 1 minus that interior weight. The tables follow the
+    march, not the horizon: an early escape builds short ones.
+    """
+
+    __slots__ = ("alpha", "n_steps", "rows", "edge")
+
+    def __init__(self, alpha: float, n_steps: int):
+        self.alpha = alpha
+        self.n_steps = n_steps
+        self.rows = np.empty((2, 0))
+        self.edge = array("d")
+
+    def grow(self, count: int) -> None:
+        if count > self.rows.shape[1]:
+            # fourfold from 1024 lags, but no further than the fewer than
+            # 2 n_steps lags that the FFT blocks of the march read
+            grown = min(max(4 * self.rows.shape[1], 1024), 2 * self.n_steps)
+            size = max(count, grown)
+            self.rows = rows = np.empty((2, size))
+            rows[0] = _power_increments(self.alpha, size)
+            rows[1], left = _pt_weights(self.alpha, size)
+            edge = left - rows[1]
+            # indexing yields Python floats, as from a list, at 8 bytes an entry
+            self.edge = array("d", edge[: self.n_steps].tobytes())
+
+    def weights(self, count: int) -> np.ndarray:
+        """Both weight rows for lags 1..count, as frac_ops.LaggedSum asks for them."""
+        self.grow(count)
+        return self.rows[:, :count]
+
+
 def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig) -> Trajectory:
     alpha = order.alpha
     h = config.step
@@ -215,20 +253,22 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
     c_pred = h ** alpha / gamma(alpha + 1.0)
     c_corr = h ** alpha / gamma(alpha + 2.0)
 
-    # Predictor: product-rectangle weights on f(v_0..v_n). Corrector: the
-    # product-trapezoid left-boundary weight on f(v_0), interior weights on
-    # f(v_1..v_n). Python floats and the bound f.fn keep the per-step scalar
-    # work cheap.
+    # One history f(v_0..v_n) with the predictor and corrector weight rows;
+    # Python floats and the bound f.fn keep the per-step scalar work cheap.
     rhs = f.fn
-    predictor = LaggedSum(_power_increments(alpha, n_steps + 1))
-    corrector = LaggedSum(_pt_interior_weights(alpha, n_steps))
-    left = _pt_left_boundary_weights(alpha, n_steps).tolist()
+    tables = _MarchTables(alpha, n_steps)
+    sums = LaggedSum(tables.weights, n_steps + 1)
+    edge = tables.edge
     f0 = float(rhs(v0))
-    predictor.append(f0)
+    sums.append(f0)
     values = [v0]
     for n in range(n_steps):
-        vp = v0 + c_pred * float(predictor.value())
-        hist = left[n] * f0 + float(corrector.value())
+        if n == len(edge):
+            tables.grow(n + 1)
+            edge = tables.edge
+        pred, corr = sums.value().tolist()
+        vp = v0 + c_pred * pred
+        hist = edge[n] * f0 + corr
         vn = vp
         for _ in range(sweeps):
             vn = v0 + c_corr * (hist + rhs(vn))
@@ -237,9 +277,7 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
         values.append(vn)
         if abs(vn) > threshold:
             return _finish(values, h, n + 1)
-        fv = rhs(vn)
-        predictor.append(fv)
-        corrector.append(fv)
+        sums.append(rhs(vn))
     return _finish(values, h, None)
 
 
@@ -271,9 +309,9 @@ def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder)
 
     Substitutes the computed values into v0 + I^alpha[f(v)] evaluated by
     frac_ops.rl_fractional_integral and returns the worst node mismatch. The
-    march and the residual share the product-trapezoid weight tables; only
-    the summation path is independent (a batch convolution here, incremental
-    lagged sums in the march).
+    march and the residual share the product-trapezoid weight formulas; only
+    the summation path is independent (a direct batch convolution here,
+    blocked-FFT lagged sums in the march).
     """
     fv = SampledFunction(traj.samples.grid, np.array([f(r) for r in traj.values]))
     rhs = traj.values[0] + rl_fractional_integral(fv, order).values
@@ -315,7 +353,16 @@ def estimate_blowup(
     f = Nonlinearity.square()
     horizon, sweeps = config_seed.horizon, config_seed.corrector_sweeps
     steps = [config_seed.step / 2.0 ** i for i in range(refinements + 1)]
-    thresholds = [config_seed.escape_threshold * threshold_growth ** i for i in range(threshold_levels)]
+    seed = config_seed.escape_threshold
+    try:
+        thresholds = [seed * threshold_growth ** i for i in range(threshold_levels)]
+    except OverflowError:  # the power itself left the float range
+        thresholds = [math.inf]
+    if not math.isfinite(thresholds[-1]):
+        raise ValueError(
+            f"the top ladder threshold overflows: escape_threshold {seed:g} * threshold_growth "
+            f"{threshold_growth:g} ** (threshold_levels {threshold_levels} - 1) is not finite"
+        )
     for x in thresholds:
         _validate(f, 1.0, SolverConfig(steps[0], horizon, x, sweeps))
 

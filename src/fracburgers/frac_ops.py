@@ -9,22 +9,30 @@ Both quadratures are exact on piecewise-linear data, which is what makes the
 exactness contracts in the tests sharp.
 
 Every weight formula of the package lives here: one power-increment table
-(k+1)^p - k^p gives the L1 weights (p = 1 - alpha) and the product-rectangle
-predictor weights (p = alpha), beside the product-trapezoid interior and
-left-boundary tables; all of them are differences of shifted slices of one
-power table k^p. The tables are rebuilt per call, not cached. The
-marching solvers (fode, pde) take their memory terms from one incremental
-primitive, :class:`LaggedSum`; :func:`caputo_left` and
-:func:`rl_fractional_integral` evaluate the same sums as batch convolutions,
-an independent summation path the tests and the Volterra residual compare the
-marches against. The memory sums are the reference O(N^2) kind: no history
-compression, no windowing. All reductions run in a fixed order on
-fixed-shape arrays, so repeated runs are bit-identical.
+(k+1)^p - k^p, the difference of shifted slices of one power table k^p,
+gives the L1 weights (p = 1 - alpha) and the product-rectangle predictor
+weights (p = alpha); the product-trapezoid interior and left-boundary tables
+are second differences of k^(a+1), which cancel about k^2-fold in closed
+form, so they are summed as binomial series of positive terms. The tables
+are rebuilt per call, not cached.
+
+The marching solvers (fode, pde) take their memory terms from one
+incremental primitive, :class:`LaggedSum`, which evaluates the full O(N^2)
+sum in O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
+and target is still summed once, with no history compression and no
+windowing. :func:`caputo_left` and :func:`rl_fractional_integral` keep the
+same sums as direct batch convolutions (``np.convolve``): a summation path
+that shares no code with the FFT blocks, so the tests and the Volterra
+residual that compare the marches against it check the blocking too. All
+reductions run in a fixed order on fixed-shape arrays, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -130,7 +138,7 @@ class SampledFunction:
 
 
 def _powers(p: float, count: int) -> np.ndarray:
-    """k^p for k = 0..count; the weight tables below are differences of it."""
+    """k^p for k = 0..count; the power increments below are differences of it."""
     return np.arange(count + 1, dtype=float) ** p
 
 
@@ -144,43 +152,128 @@ def _power_increments(p: float, count: int) -> np.ndarray:
     return q[1:] - q[:-1]
 
 
-def _pt_interior_weights(alpha: float, count: int) -> np.ndarray:
-    """Product-trapezoid interior weights d_k = (k+1)^(a+1) + (k-1)^(a+1) - 2k^(a+1), k >= 1."""
-    q = _powers(alpha + 1.0, count + 1)
-    return q[2:] + q[:-2] - 2.0 * q[1:-1]
+def _pt_weights(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product-trapezoid interior and left-boundary weights, k = 1..count.
+
+    Interior: d_k = (k+1)^(a+1) + (k-1)^(a+1) - 2k^(a+1), the weight of
+    g(t_{n-k}) at target t_n. Left boundary: (k-1)^(a+1) - k^a (k-a-1), the
+    weight of g(t_0) at target t_k. Both closed forms are second differences
+    of k^(a+1) and cancel about k^2-fold. With x = 1/k and c_j = |C(a+1, j)|
+    (C(a+1, j) has the sign of (-1)^j for j >= 2), they are
+    d_k = 2 k^(a+1) E and left_k = k^(a+1) (E + O), where E and O sum the
+    positive terms c_j x^j over even and over odd j >= 2. Successive terms of
+    each part shrink at least by x^2, so orders up to 59 for k <= 16 and up
+    to 17 beyond leave tails below 2^-56. At k = 1: d_1 = 2 (2^a - 1) from
+    expm1, and left_1 = a.
+    """
+    ratios = (np.arange(2.0, 59.0) - alpha - 1.0) / np.arange(3.0, 60.0)
+    c = 0.5 * (alpha + 1.0) * alpha * np.cumprod(np.concatenate(([1.0], ratios)))  # c_2..c_59
+    k = np.arange(2, count + 1, dtype=float)
+    x = 1.0 / k
+    even, odd = np.empty(count), np.empty(count)  # E and O / x at k = 2..count, in slots 1..
+    powers = x[:15, None] ** np.arange(0.0, 58.0, 2.0)  # k = 2..16
+    even[1:16] = powers @ c[0::2]
+    odd[1:16] = powers @ c[1::2]
+    y = x[15:] * x[15:]  # Horner in x^2 from order 16 (17) down, in place
+    for part, coefs in ((even[16:], c[14::-2]), (odd[16:], c[15::-2])):
+        part[:] = coefs[0]
+        for cj in coefs[1:].tolist():
+            part *= y
+            part += cj
+    odd[1:] *= x
+    odd[1:] += even[1:]  # the left-boundary series E + O
+    even[1:] *= 2.0  # the interior series 2E
+    scale = np.power(k, alpha - 1.0, out=k)  # k^(a+1) x^2: the series start at order 2
+    even[1:] *= scale
+    odd[1:] *= scale
+    even[:1] = 2.0 * np.expm1(alpha * np.log(2.0))
+    odd[:1] = alpha
+    return even, odd
 
 
-def _pt_left_boundary_weights(alpha: float, count: int) -> np.ndarray:
-    """Weight of g(t_0) in the product-trapezoid rule targeted at t_n, n = 1..count."""
-    n = np.arange(1, count + 1, dtype=float)
-    return _powers(alpha + 1.0, count)[:-1] - _powers(alpha, count)[1:] * (n - alpha - 1.0)
+_BLOCK = 128  # base block B of LaggedSum: lags below it are summed directly
+_FFT_ENTRIES = 1 << 16  # complex entries per column chunk of a block transform
 
 
 class LaggedSum:
     """Running lagged sum s_n = sum_{k=1}^{n} w_k g_{n-k} over a growing history.
 
     The history g_0, g_1, ... gains one entry per step (a scalar, or a row of
-    the given shape) in a buffer preallocated for len(weights) entries;
-    weights[k - 1] is w_k. An empty history sums to 0. Every marching scheme
-    in the package takes its memory term from here.
+    the given shape), up to `capacity` entries, and :meth:`value` gives s_n
+    for n < capacity, the sums a march reads before each append; the last
+    entry is kept but feeds no sum. ``weights(m)`` returns
+    w_1..w_m, either as one row or as several rows (shape (rows, m)); with
+    several rows, :meth:`value` returns one sum per row. An empty history sums
+    to 0. Every marching scheme in the package takes its memory term from here.
+
+    The sum is the full one, reordered exactly in dyadic blocks (Hairer,
+    Lubich & Schlichte 1985) so that n steps cost O(n log^2 n) instead of
+    O(n^2):
+
+    * near part: the lags inside the current base block of B = 128 entries,
+      one direct dot of fewer than B terms;
+    * far part: when the history length s reaches a multiple of B, with
+      L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s] adds
+      its contribution to the targets s..s+L-1 through one real FFT of length
+      2L against w_0..w_{2L-1} (w_0 = 0). That weight segment is the same for
+      every block of a level, so each level reached computes one spectrum.
+
+    Every (target, source) pair is counted exactly once, by the near part or
+    by the one block pair whose halves separate them; nothing is compressed or
+    windowed. Weight tables and spectra grow with the levels the history
+    reaches, not with `capacity`. With one weight row the far sums of future
+    targets live in the history buffer's not-yet-written slots (slot n holds
+    far[n] until g_n overwrites it), so they cost no memory of their own.
     """
 
-    __slots__ = ("_reversed", "_history", "_size")
+    __slots__ = ("_weights", "_near", "_spectra", "_history", "_far", "_size")
 
-    def __init__(self, weights: np.ndarray, shape: tuple[int, ...] = ()):
-        # w_K..w_1: s_n dots the last n of these with g_0..g_{n-1}
-        self._reversed = np.ascontiguousarray(weights[::-1], dtype=float)
-        self._history = np.empty((self._reversed.size, *shape))
+    def __init__(self, weights: Callable[[int], np.ndarray], capacity: int, shape: tuple[int, ...] = ()):
+        self._weights = weights
+        near = np.ascontiguousarray(np.asarray(weights(_BLOCK - 1), dtype=float)[..., ::-1])  # w_{B-1}..w_1
+        # the near part of s_n dots the last r = n mod B of these with g_{n-r}..g_{n-1}
+        self._near = [near[..., _BLOCK - 1 - r :] for r in range(_BLOCK)]
+        self._spectra: list[np.ndarray] = []
+        self._history = np.zeros((capacity, *shape))
+        rows = near.shape[:-1]
+        self._far = np.zeros((capacity, *rows, *shape)) if rows else self._history
         self._size = 0
 
     def append(self, g) -> None:
-        self._history[self._size] = g
-        self._size += 1
+        s = self._size
+        self._history[s] = g
+        self._size = s = s + 1
+        if s % _BLOCK == 0:
+            self._flush(s)
 
     def value(self):
         """s_n for the n entries appended so far."""
-        n = self._size
-        return np.dot(self._reversed[self._reversed.size - n :], self._history[:n])
+        s = self._size
+        r = s % _BLOCK
+        return self._far[s] + np.dot(self._near[r], self._history[s - r : s])
+
+    def _flush(self, s: int) -> None:
+        """Add the block of L entries ending at s to the far sums of targets s..s+L-1."""
+        blocks = s // _BLOCK
+        level = (blocks & -blocks).bit_length() - 1
+        size = _BLOCK << level
+        count = min(size, self._far.shape[0] - s)
+        if count == 0:  # the last entry: no sum reads it
+            return
+        if level == len(self._spectra):  # levels first appear in increasing order
+            # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
+            # rotated by one lag, so the outputs below are read one index early
+            spectrum = np.fft.rfft(self._weights(2 * size - 1), 2 * size)
+            self._spectra.append(spectrum.reshape(-1, size + 1, 1))
+        spectrum = self._spectra[level]  # (rows, L + 1, 1)
+        block = self._history[s - size : s].reshape(size, -1)
+        far = self._far[s : s + count].reshape(count, len(spectrum), -1)
+        chunk = max(1, _FFT_ENTRIES // (size + 1))
+        for c in range(0, block.shape[1], chunk):
+            g = np.fft.rfft(block[:, c : c + chunk], 2 * size, axis=0)
+            for row, w in enumerate(spectrum):  # one row at a time bounds the temporaries
+                tail = np.fft.irfft(w * g, 2 * size, axis=0)
+                far[:, row, c : c + chunk] += tail[size - 1 : size - 1 + count]
 
 
 def caputo_left(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
@@ -221,10 +314,9 @@ def rl_fractional_integral(g: SampledFunction, order: FractionalOrder) -> Sample
     scale = h ** alpha / gamma(alpha + 2.0)
     out = np.zeros(n + 1)
     inner = np.zeros(n)
+    d, a0 = _pt_weights(alpha, n)
     if n >= 2:
-        d = _pt_interior_weights(alpha, n)
         inner[1:] = np.convolve(vals[1:n], d[: n - 1])[: n - 1]
-    a0 = _pt_left_boundary_weights(alpha, n)
     out[1:] = scale * (a0 * vals[0] + inner + vals[1:])
     return SampledFunction(g.grid, out)
 

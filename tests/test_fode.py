@@ -4,12 +4,13 @@ the Volterra self-consistency check, and blow-up bracketing."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracburgers import fode
+from fracburgers import fode, frac_ops
 from fracburgers import (
     FractionalOrder,
     NoBlowupDetected,
@@ -29,9 +30,20 @@ SQUARE = Nonlinearity.square()
 
 
 def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
-    """The PECE scheme for v' = v^2, written out weight by weight in a double loop."""
+    """The PECE scheme for v' = v^2, written out weight by weight in a double loop.
+
+    The product-trapezoid weights are second differences of k^(a+1), which
+    cancel about k^2-fold in doubles, so their closed forms are evaluated in
+    40 digits.
+    """
     c_pred = h ** alpha / math.gamma(alpha + 1.0)
     c_corr = h ** alpha / math.gamma(alpha + 2.0)
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        nodes = [mp.mpf(k) for k in range(1, n_steps + 1)]
+        # indexed by target m and by lag k; entry 0 unused
+        left = [0.0] + [float((m - 1) ** (a + 1) - m ** a * (m - a - 1)) for m in nodes]
+        inner = [0.0] + [float((k + 1) ** (a + 1) + (k - 1) ** (a + 1) - 2 * k ** (a + 1)) for k in nodes]
     v, fv = [v0], [v0 * v0]
     for m in range(1, n_steps + 1):
         pred = 0.0
@@ -39,10 +51,9 @@ def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
             k = m - j
             pred += (k ** alpha - (k - 1) ** alpha) * fv[j]
         # product trapezoid: left-boundary weight on f(v_0), interior on f(v_1..v_{m-1})
-        hist = ((m - 1) ** (alpha + 1.0) - m ** alpha * (m - alpha - 1.0)) * fv[0]
+        hist = left[m] * fv[0]
         for j in range(1, m):
-            k = m - j
-            hist += ((k + 1) ** (alpha + 1.0) + (k - 1) ** (alpha + 1.0) - 2.0 * k ** (alpha + 1.0)) * fv[j]
+            hist += inner[m - j] * fv[j]
         vn = v0 + c_pred * pred
         for _ in range(sweeps):
             vn = v0 + c_corr * (hist + vn * vn)
@@ -162,17 +173,34 @@ class TestSolve:
         assert traj.status == "completed"
         assert volterra_residual(traj, SQUARE, order) <= 1e-10
 
-    # 200 steps reach about half the blow-up time (0.023 at alpha = 0.3, 0.46 at 0.7)
-    @pytest.mark.parametrize("alpha, h", [(0.3, 5e-5), (0.7, 1e-3)])
+    # 4B steps (B the base block of the blocked memory sum, so blocks of B,
+    # 2B and 4B values reach later steps through FFTs) over the span of 200
+    # coarse steps, about half the blow-up time (0.023 at alpha = 0.3, 0.46 at 0.7)
+    @pytest.mark.parametrize("alpha, coarse_step", [(0.3, 5e-5), (0.7, 1e-3)])
     @pytest.mark.parametrize("sweeps", [1, 3])
-    def test_matches_direct_scheme(self, alpha, h, sweeps):
-        # the incremental memory sums reproduce the scheme evaluated term by
+    def test_matches_direct_scheme(self, alpha, coarse_step, sweeps):
+        # the blocked memory sums reproduce the scheme evaluated term by
         # term; only the summation order differs
-        n_steps = 200
+        n_steps = 4 * frac_ops._BLOCK
+        h = 200 * coarse_step / n_steps
         traj = solve(SQUARE, 1.0, FractionalOrder(alpha), SolverConfig(h, n_steps * h, corrector_sweeps=sweeps))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
         ref = _pece_direct(alpha, h, n_steps, sweeps)
         assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
+
+    def test_tables_follow_the_march_not_the_horizon(self, monkeypatch):
+        # alpha = 0.3 escapes after 228 of the 17000 steps to the horizon
+        sizes = []
+        original = fode._power_increments
+
+        def recording(p, count):
+            sizes.append(count)
+            return original(p, count)
+
+        monkeypatch.setattr(fode, "_power_increments", recording)
+        traj = solve(SQUARE, 1.0, FractionalOrder(0.3), SolverConfig(1e-4, 1.7))
+        assert traj.escape_index == 228
+        assert max(sizes) <= 1024
 
     def test_escape_semantics(self):
         order = FractionalOrder(0.5)
@@ -331,3 +359,14 @@ class TestBlowupEstimate:
         # the lowest threshold must exceed v(0) = 1 even though only the top one is marched
         with pytest.raises(ValueError, match="must exceed"):
             estimate_blowup(FractionalOrder(0.5), SolverConfig(1e-3, 1.7, escape_threshold=0.5))
+
+    @pytest.mark.parametrize("growth, levels", [(1e10, 2), (100.0, 400)])
+    def test_overflowing_top_threshold_names_the_ladder(self, growth, levels):
+        # 1e300 * 1e10 overflows to inf; 100.0 ** 399 raises OverflowError
+        seed = SolverConfig(1e-3, 1.7, escape_threshold=1e300)
+        with pytest.raises(ValueError) as err:
+            estimate_blowup(FractionalOrder(0.5), seed, threshold_levels=levels, threshold_growth=growth)
+        message = str(err.value)
+        assert "escape_threshold 1e+300" in message
+        assert f"threshold_growth {growth:g}" in message
+        assert f"threshold_levels {levels}" in message

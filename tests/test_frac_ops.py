@@ -3,10 +3,12 @@ values frozen from pre-build oracles, and structural properties."""
 
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracburgers import frac_ops
 from fracburgers import (
     FractionalOrder,
     PowerTestFunction,
@@ -217,6 +219,88 @@ class TestRlIntegral:
         g = sample(lambda t: t, 1e-3, 2000)
         integ = rl_fractional_integral(g, FractionalOrder(1.0))
         assert integ.values[-1] == pytest.approx(2.0, rel=1e-12)
+
+
+B = frac_ops._BLOCK
+
+
+def _direct_lagged_sum(table, g, n):
+    """s_n = sum_{k=1}^{n} w_k g_{n-k} as one dot, and the same sum of |w_k| |g_{n-k}|."""
+    lags = table[..., :n][..., ::-1]  # w_n..w_1 against g_0..g_{n-1}
+    return np.dot(lags, g[:n]), np.dot(np.abs(lags), np.abs(g[:n]))
+
+
+class TestLaggedSum:
+    # the blocked-FFT sum against the direct dot at every n: the reordering
+    # is exact, so only roundoff separates the two
+    @pytest.mark.parametrize("capacity", [1, B - 1, B, B + 1, 5 * B + 3, 4096 + 17])
+    @pytest.mark.parametrize("kind", ["scalar", "rows", "two weight rows"])
+    def test_matches_direct_dot(self, capacity, kind):
+        rng = np.random.default_rng(capacity)
+        if kind == "two weight rows":  # the fode predictor and corrector rows
+            def weights(m):
+                return np.stack((frac_ops._power_increments(0.37, m), frac_ops._pt_weights(0.37, m)[0]))
+            g, shape = rng.random(capacity), ()
+        elif kind == "rows":  # the pde L1 weights on rows of slice differences
+            def weights(m):
+                return frac_ops._power_increments(0.63, m + 1)[1:]
+            g, shape = rng.standard_normal((capacity, 5)), (5,)
+        else:
+            def weights(m):
+                return frac_ops._power_increments(0.37, m)
+            g, shape = rng.random(capacity), ()
+        table = weights(capacity)
+        memory = frac_ops.LaggedSum(weights, capacity + 1, shape)  # s_n for n <= capacity
+        assert np.all(memory.value() == 0.0)
+        for n in range(1, capacity + 1):
+            memory.append(g[n - 1])
+            got = memory.value()
+            want, scale = _direct_lagged_sum(table, g, n)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "capacity, appends, longest",
+        [
+            (100_000, 4 * B, 8 * B - 1),  # the level of 4B entries, not the capacity
+            (2 * B, 2 * B, 2 * B - 1),  # a block ending at the last entry feeds no sum: never run
+        ],
+    )
+    def test_weight_tables_grow_with_the_history(self, capacity, appends, longest):
+        asked = []
+
+        def weights(m):
+            asked.append(m)
+            return frac_ops._power_increments(0.5, m)
+
+        memory = frac_ops.LaggedSum(weights, capacity)
+        for _ in range(appends):
+            memory.append(1.0)
+        assert max(asked) == longest
+
+
+class TestWeightTables:
+    # the product-trapezoid closed forms in 40 digits; in doubles they cancel
+    # about n^2-fold, so the tables sum binomial series instead
+    N_MAX = 10 ** 6
+    NS = np.unique(np.r_[np.arange(1, 70), np.geomspace(70, N_MAX, 120).astype(int), N_MAX]).tolist()
+
+    @staticmethod
+    def _closed_form(alpha, form):
+        with mp.workdps(40):
+            return np.array([float(form(mp.mpf(alpha), mp.mpf(n))) for n in TestWeightTables.NS])
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 1.0])
+    def test_left_boundary_weights_match_mpmath(self, alpha):
+        got = frac_ops._pt_weights(alpha, self.N_MAX)[1][np.array(self.NS) - 1]
+        want = self._closed_form(alpha, lambda a, n: (n - 1) ** (a + 1) - n ** a * (n - a - 1))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 1.0])
+    def test_interior_weights_match_mpmath(self, alpha):
+        got = frac_ops._pt_weights(alpha, self.N_MAX)[0][np.array(self.NS) - 1]
+        want = self._closed_form(alpha, lambda a, k: (k + 1) ** (a + 1) + (k - 1) ** (a + 1) - 2 * k ** (a + 1))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
 class TestPowerTestFunction:
