@@ -173,12 +173,20 @@ def _cmd_impulse(args: argparse.Namespace) -> int:
 
 
 def _read_sampled_csv(path: str) -> SampledFunction:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or len(names) < 2:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        rows = fh.readlines()
+    if len(header.split(",")) < 2:
         raise ValueError(f"{path}: expected a CSV with header and columns t, f")
-    t = np.atleast_1d(data[names[0]]).astype(float)
-    f = np.atleast_1d(data[names[1]]).astype(float)
+    if len(rows) < 2:  # checked before parsing: loadtxt warns on an empty body
+        raise ValueError(f"{path}: need at least two samples")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a non-numeric cell or a ragged row
+        raise ValueError(f"{path}: {exc}") from exc
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: expected a CSV with header and columns t, f")
+    t, f = data[:, 0], data[:, 1]
     if t.size < 2:
         raise ValueError(f"{path}: need at least two samples")
     if abs(t[0]) > 1e-12 * max(1.0, abs(t[-1])):
@@ -187,7 +195,7 @@ def _read_sampled_csv(path: str) -> SampledFunction:
     if h <= 0.0:
         raise ValueError(f"{path}: time column must be increasing")
     expected = np.arange(t.size) * h
-    if np.max(np.abs(t - expected)) > 1e-9 * max(h, t[-1]):
+    if not np.max(np.abs(t - expected)) <= 1e-9 * max(h, t[-1]):  # a NaN time fails too
         raise ValueError(f"{path}: time column is not a uniform grid starting at 0")
     return SampledFunction(TimeGrid(h, t.size - 1), f)
 

@@ -310,10 +310,11 @@ def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder)
     Substitutes the computed values into v0 + I^alpha[f(v)] evaluated by
     frac_ops.rl_fractional_integral and returns the worst node mismatch. The
     march and the residual share the product-trapezoid weight formulas; only
-    the summation path is independent (a direct batch convolution here,
-    blocked-FFT lagged sums in the march).
+    the summation path is independent (one full-length real FFT here, which
+    shares no blocking with the march's lagged sums).
     """
-    fv = SampledFunction(traj.samples.grid, np.array([f(r) for r in traj.values]))
+    fn = f.fn
+    fv = SampledFunction(traj.samples.grid, np.array([fn(r) for r in traj.values.tolist()]))
     rhs = traj.values[0] + rl_fractional_integral(fv, order).values
     return float(np.max(np.abs(rhs - traj.values)))
 

@@ -9,24 +9,25 @@ Both quadratures are exact on piecewise-linear data, which is what makes the
 exactness contracts in the tests sharp.
 
 Every weight formula of the package lives here: one power-increment table
-(k+1)^p - k^p, the difference of shifted slices of one power table k^p,
-gives the L1 weights (p = 1 - alpha) and the product-rectangle predictor
-weights (p = alpha); the product-trapezoid interior and left-boundary tables
-are second differences of k^(a+1), which cancel about k^2-fold in closed
-form, so they are summed as binomial series of positive terms. The tables
-are rebuilt per call, not cached.
+(k+1)^p - k^p, evaluated as k^p expm1(p log1p(1/k)) so that it does not
+cancel, gives the L1 weights (p = 1 - alpha) and the product-rectangle
+predictor weights (p = alpha); the product-trapezoid interior and
+left-boundary tables are second differences of k^(a+1), which cancel about
+k^2-fold in closed form, so they are summed as binomial series of positive
+terms. The tables are rebuilt per call, not cached.
 
 The marching solvers (fode, pde) take their memory terms from one
 incremental primitive, :class:`LaggedSum`, which evaluates the full O(N^2)
 sum in O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
 and target is still summed once, with no history compression and no
-windowing. :func:`caputo_left` and :func:`rl_fractional_integral` keep the
-same sums as direct batch convolutions (``np.convolve``): a summation path
-that shares no code with the FFT blocks, so the tests and the Volterra
-residual that compare the marches against it check the blocking too. All
-reductions run in a fixed order on fixed-shape arrays, so repeated runs are
-bit-identical.
+windowing. :func:`caputo_left` and :func:`rl_fractional_integral` evaluate
+the same sums in one batch, as one full-length zero-padded real FFT
+(:func:`_causal_convolution`, O(N log N)) that shares no blocking with
+:class:`LaggedSum`, so the tests and the Volterra residual that compare the
+marches against them check the blocking too; the tests check the batch path
+itself against ``np.convolve``. All reductions run in a fixed order on
+fixed-shape arrays, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 
 from .specfun import gamma
@@ -137,19 +139,19 @@ class SampledFunction:
         return float(np.interp(t, self.times, self.values))
 
 
-def _powers(p: float, count: int) -> np.ndarray:
-    """k^p for k = 0..count; the power increments below are differences of it."""
-    return np.arange(count + 1, dtype=float) ** p
-
-
 def _power_increments(p: float, count: int) -> np.ndarray:
     """(k+1)^p - k^p for k = 0..count-1.
 
     With p = 1 - alpha these are the L1 weights b_k; with p = alpha they are
-    the product-rectangle (predictor) weights of lag k + 1.
+    the product-rectangle (predictor) weights of lag k + 1. The difference of
+    the two powers cancels about k/p-fold, so for k >= 1 the table takes the
+    equal form k^p expm1(p log1p(1/k)), which keeps every entry within a few
+    ulps; the entry at k = 0 is 1.
     """
-    q = _powers(p, count)
-    return q[1:] - q[:-1]
+    out = np.ones(count)
+    k = np.arange(1.0, count)
+    out[1:] = np.power(k, p) * np.expm1(p * np.log1p(1.0 / k))
+    return out
 
 
 def _pt_weights(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,20 +278,39 @@ class LaggedSum:
                 far[:, row, c : c + chunk] += tail[size - 1 : size - 1 + count]
 
 
+def _causal_convolution(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The first n = len(g) entries of the full convolution of g with w[:n].
+
+    Entry m is sum_{k=0}^{m} w_k g_{m-k}. One real FFT pair, zero-padded to
+    at least 2n - 1 points so that nothing wraps around, gives the whole
+    discrete convolution; its roundoff is normwise, a few ulps of
+    max_m sum_k |w_k| |g_{m-k}| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 24.1), not entry by entry. It shares no
+    blocking with :class:`LaggedSum`. Zero data give exact zeros: adding 0.0
+    turns the -0.0 that signed-zero products can leave into 0.0 and changes
+    no other value.
+    """
+    n = len(g)
+    size = next_fast_len(2 * n - 1, real=True)
+    out = irfft(rfft(g, size) * rfft(w[:n], size), size)[:n]
+    out += 0.0
+    return out
+
+
 def caputo_left(f: SampledFunction, order: FractionalOrder) -> SampledFunction:
     """L1 discretization of the left Caputo derivative of order alpha in (0, 1).
 
     Returns the exact Caputo derivative of the piecewise-linear interpolant of
-    f at the nodes t_1..t_N; node t_0 carries 0 by convention.
+    f at the nodes t_1..t_N; node t_0 carries 0 by convention. The L1 sum over
+    the increments of f is one FFT convolution (:func:`_causal_convolution`),
+    O(N log N) for N nodes.
     """
     if order.is_classical:
         raise ValueError("alpha = 1 is not a Caputo order here; use classical_derivative")
     n = f.grid.count
     h = f.grid.step
-    df = np.diff(f.values)
-    b = _power_increments(1.0 - order.alpha, n)
     out = np.zeros(n + 1)
-    out[1:] = np.convolve(df, b)[:n]
+    out[1:] = _causal_convolution(np.diff(f.values), _power_increments(1.0 - order.alpha, n))
     out[1:] *= h ** (-order.alpha) / gamma(2.0 - order.alpha)
     return SampledFunction(f.grid, out)
 
@@ -305,7 +326,9 @@ def rl_fractional_integral(g: SampledFunction, order: FractionalOrder) -> Sample
     """Riemann-Liouville fractional integral of order alpha in (0, 1].
 
     Product-trapezoidal rule: exact (up to roundoff) for piecewise-linear g.
-    At alpha = 1 the weights reduce to the ordinary trapezoid rule.
+    At alpha = 1 the weights reduce to the ordinary trapezoid rule. The
+    interior sum is one FFT convolution (:func:`_causal_convolution`),
+    O(N log N) for N nodes.
     """
     alpha = order.alpha
     n = g.grid.count
@@ -316,7 +339,7 @@ def rl_fractional_integral(g: SampledFunction, order: FractionalOrder) -> Sample
     inner = np.zeros(n)
     d, a0 = _pt_weights(alpha, n)
     if n >= 2:
-        inner[1:] = np.convolve(vals[1:n], d[: n - 1])[: n - 1]
+        inner[1:] = _causal_convolution(vals[1:n], d)
     out[1:] = scale * (a0 * vals[0] + inner + vals[1:])
     return SampledFunction(g.grid, out)
 

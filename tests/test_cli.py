@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fracburgers import gamma
-from fracburgers.cli import main
+from fracburgers.cli import _read_sampled_csv, main
 
 
 def run_json(capsys, argv):
@@ -155,6 +155,30 @@ class TestCaputo:
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["caputo", "--alpha", "0.5", "--input", str(tmp_path / "nope.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,f\n0.0,0.0\n0.1,x\n0.2,0.2\n",  # a non-numeric cell
+            "t\n0.0\n0.1\n0.2\n",  # one column
+            "t,f\n0.0,0.0\n",  # one sample
+            "t,f\n0.0,0.0\nnan,0.1\n0.2,0.2\n",  # a NaN time
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, text):
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        rc = main(["caputo", "--alpha", "0.5", "--input", str(src), "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "caputo.csv").exists()
+
+    def test_reads_a_solve_product(self, tmp_path):
+        # the CSV a solve writes is a valid caputo input, read back bit for bit
+        assert main(["solve", "--alpha", "0.5", "--h", "1e-3", "--t-max", "0.5", "--cap", "10", "--out", str(tmp_path)]) == 0
+        _, data = read_csv(tmp_path / "solve.csv")
+        f = _read_sampled_csv(str(tmp_path / "solve.csv"))
+        np.testing.assert_array_equal(f.values, data[:, 1])
+        assert f.grid.count == data.shape[0] - 1
 
 
 class TestPde:

@@ -173,6 +173,18 @@ class TestSolve:
         assert traj.status == "completed"
         assert volterra_residual(traj, SQUARE, order) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.6])
+    def test_volterra_residual_across_fft_levels(self, alpha):
+        # 5B steps, so blocks of B, 2B and 4B reach later steps through the
+        # march's FFTs; the residual sums the same weights in one batch FFT
+        # that shares no blocking with them
+        n_steps = 5 * frac_ops._BLOCK
+        horizon = {0.3: 0.01, 0.6: 0.1}[alpha]  # well before blow-up
+        order = FractionalOrder(alpha)
+        traj = solve(SQUARE, 1.0, order, SolverConfig(horizon / n_steps, horizon, corrector_sweeps=12))
+        assert traj.status == "completed" and traj.values.size == n_steps + 1
+        assert volterra_residual(traj, SQUARE, order) <= 1e-13 * np.max(traj.values)
+
     # 4B steps (B the base block of the blocked memory sum, so blocks of B,
     # 2B and 4B values reach later steps through FFTs) over the span of 200
     # coarse steps, about half the blow-up time (0.023 at alpha = 0.3, 0.46 at 0.7)

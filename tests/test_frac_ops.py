@@ -221,6 +221,84 @@ class TestRlIntegral:
         assert integ.values[-1] == pytest.approx(2.0, rel=1e-12)
 
 
+def _table(kind, alpha, n):
+    """The L1 weights b_0..b_{n-1} or the product-trapezoid interior weights d_1..d_n."""
+    return frac_ops._power_increments(1.0 - alpha, n) if kind == "l1" else frac_ops._pt_weights(alpha, n)[0]
+
+
+def _convolve_reference(g, w):
+    """np.convolve(g, w)[:n], summed term by term, and max_m sum_k |w_k| |g_(m-k)|."""
+    n = len(g)
+    return np.convolve(g, w)[:n], np.max(np.convolve(np.abs(g), np.abs(w))[:n])
+
+
+TABLES = [("l1", a) for a in (0.05, 0.5, 0.999)] + [("pt", a) for a in (0.05, 0.5, 0.999, 1.0)]
+
+
+class TestBatchConvolution:
+    # the one-FFT batch path against the direct convolution: the FFT rounds
+    # normwise, a few ulps of the largest magnitude sum, not entry by entry
+    @pytest.mark.parametrize(
+        "n, kind, alpha",
+        [(n, *t) for n in (1, 2, 3, 17, 1000, 4097) for t in TABLES]
+        # 5e4 at one alpha per table: each direct convolution takes ~0.6 s there
+        + [(50_000, "l1", 0.5), (50_000, "pt", 0.5)],
+    )
+    def test_matches_np_convolve(self, n, kind, alpha):
+        w = _table(kind, alpha, n)
+        assert np.all(w > 0.0)
+        signed = np.random.default_rng(n).standard_normal(n)
+        # |g| * w is the reference for the positive data |g| and the scale of both
+        magnitude = np.convolve(np.abs(signed), w)[:n]
+        for g, want in ((signed, np.convolve(signed, w)[:n]), (np.abs(signed), magnitude)):
+            got = frac_ops._causal_convolution(g, w)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(magnitude)
+
+    def test_uses_only_the_first_n_weights(self):
+        g, w = np.arange(1.0, 6.0), _table("l1", 0.3, 9)
+        np.testing.assert_array_equal(frac_ops._causal_convolution(g, w), frac_ops._causal_convolution(g, w[:5]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    def test_zero_data_give_positive_zeros(self, n):
+        # signed weights leave -0.0 in the raw transform of zero data
+        signed = np.random.default_rng(n).standard_normal(n)
+        for w in [signed, -np.abs(signed)] + [_table(kind, alpha, n) for kind, alpha in TABLES]:
+            out = frac_ops._causal_convolution(np.zeros(n), w)
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999])
+    def test_caputo_matches_direct_convolution(self, count, alpha):
+        rng = np.random.default_rng(count)
+        f = SampledFunction(TimeGrid(0.01, count), rng.standard_normal(count + 1))
+        got = caputo_left(f, FractionalOrder(alpha)).values
+        c = 0.01 ** -alpha / gamma(2.0 - alpha)
+        want, scale = _convolve_reference(np.diff(f.values), _table("l1", alpha, count))
+        assert got[0] == 0.0
+        assert np.max(np.abs(got[1:] - c * want)) <= 1e-13 * c * scale
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.999, 1.0])
+    def test_rl_integral_matches_direct_convolution(self, count, alpha):
+        rng = np.random.default_rng(count)
+        g = SampledFunction(TimeGrid(0.01, count), rng.standard_normal(count + 1))
+        got = rl_fractional_integral(g, FractionalOrder(alpha)).values
+        c = 0.01 ** alpha / gamma(alpha + 2.0)
+        d, a0 = frac_ops._pt_weights(alpha, count)
+        v = g.values
+        inner, scale = _convolve_reference(v[1:count], d) if count >= 2 else (np.zeros(0), 0.0)
+        want = c * (a0 * v[0] + np.r_[0.0, inner] + v[1:])
+        assert got[0] == 0.0
+        assert np.max(np.abs(got[1:] - want)) <= 1e-13 * c * scale + 4e-16 * np.max(np.abs(want))
+
+    def test_constant_and_zero_inputs_give_positive_zeros(self):
+        const = sample(lambda t: 5.0 * np.ones_like(t), 0.01, 200)
+        zero = sample(np.zeros_like, 0.01, 200)
+        for out in (caputo_left(const, FractionalOrder(0.5)), rl_fractional_integral(zero, FractionalOrder(0.7))):
+            assert np.all(out.values == 0.0) and not np.any(np.signbit(out.values))
+
+
 B = frac_ops._BLOCK
 
 
@@ -289,6 +367,15 @@ class TestWeightTables:
     def _closed_form(alpha, form):
         with mp.workdps(40):
             return np.array([float(form(mp.mpf(alpha), mp.mpf(n))) for n in TestWeightTables.NS])
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_power_increments_match_mpmath(self, p):
+        # (k+1)^p - k^p cancels about k/p-fold as written; the table keeps
+        # every entry within a few ulps
+        table = frac_ops._power_increments(p, self.N_MAX + 1)
+        want = self._closed_form(p, lambda q, k: (k + 1) ** q - k ** q)
+        assert table[0] == 1.0
+        assert np.max(np.abs(table[self.NS] - want) / want) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 1.0])
     def test_left_boundary_weights_match_mpmath(self, alpha):

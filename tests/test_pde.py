@@ -223,6 +223,25 @@ class TestDirectScheme:
         ref = _l1_godunov_direct(u0, alpha, h, grid.dx, n_steps, lambda i, t: edge(x[i], t))
         assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("alpha", [0.4, 0.8])
+    def test_periodic_march_solves_batch_l1_equation(self, alpha):
+        # over 5B steps the field satisfies D^alpha u_j(t_n) = -(F_{j+1/2} - F_{j-1/2})(u^(n-1)) / dx
+        # with the Caputo derivative from caputo_left, whose one batch FFT
+        # shares no blocking with the march's memory sum
+        grid, n_steps = SpatialGrid(-1.0, 1.0, 16), 5 * frac_ops._BLOCK
+        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx) ** (1.0 / alpha)
+        x = grid.nodes(periodic=True)
+        u0 = 0.8 * np.sin(np.pi * x) + 0.3
+        time = TimeGrid(h, n_steps)
+        fh = solve_u(u0, FO(alpha), grid, time, BoundaryRule.periodic())
+        assert fh.status == "completed"
+        lhs = np.stack([frac_ops.caputo_left(frac_ops.SampledFunction(time, fh.slices[:, j]), FO(alpha)).values
+                        for j in range(x.size)], axis=1)[1:]
+        prev = fh.slices[:-1]
+        f_right = np.maximum(0.5 * np.maximum(prev, 0.0) ** 2, 0.5 * np.minimum(np.roll(prev, -1, axis=1), 0.0) ** 2)
+        rhs = -(f_right - np.roll(f_right, 1, axis=1)) / grid.dx
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
 
 class TestSchemeGuards:
     def test_cfl_violation_names_node_and_step(self):
