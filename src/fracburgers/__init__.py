@@ -38,9 +38,6 @@ from .frac_ops import (
     caputo_left,
     classical_derivative,
     phi_test_integrals,
-    phi_test_integrals_elementary,
-    phi_test_integrals_quadrature,
-    phi_value,
     rl_fractional_integral,
     rl_right_derivative_phi,
 )
@@ -83,11 +80,8 @@ __all__ = [
     "caputo_left",
     "classical_derivative",
     "rl_fractional_integral",
-    "phi_value",
     "rl_right_derivative_phi",
     "phi_test_integrals",
-    "phi_test_integrals_quadrature",
-    "phi_test_integrals_elementary",
     # fode
     "Nonlinearity",
     "SolverConfig",

@@ -214,7 +214,7 @@ def _cmd_caputo(args: argparse.Namespace) -> int:
 
 def _parse_initial(kind: str, form: str, x: np.ndarray) -> np.ndarray:
     if kind == "minus-x":
-        return -x if form == "u" else (1.0 - x) / 2.0
+        return 0.0 - x if form == "u" else (1.0 - x) / 2.0  # +0.0, not -0.0, at x = 0
     if kind == "market-critical":
         return np.zeros_like(x) if form == "u" else np.full_like(x, 0.5)
     if kind.startswith("constant:"):

@@ -82,10 +82,6 @@ class Nonlinearity:
     def zero(cls) -> "Nonlinearity":
         return cls(lambda r: 0.0, "zero")
 
-    @classmethod
-    def custom(cls, fn: Callable[[float], float], label: str = "custom") -> "Nonlinearity":
-        return cls(fn, label)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -2,8 +2,8 @@
 
 Implements the piecewise-linear (L1) discretization of the left Caputo
 derivative, the product-trapezoidal Riemann-Liouville fractional integral,
-and closed-form evaluation of the right Riemann-Liouville derivative of the
-power test function (1 - t/T)^lam together with its two integrals.
+and the right Riemann-Liouville derivative of the power test function
+(1 - t/T)^lam together with its two integrals, in elementary closed form.
 
 Both quadratures are exact on piecewise-linear data, which is what makes the
 exactness contracts in the tests sharp.
@@ -37,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import quad
 
 from .specfun import gamma
 
@@ -50,11 +49,8 @@ __all__ = [
     "caputo_left",
     "classical_derivative",
     "rl_fractional_integral",
-    "phi_value",
     "rl_right_derivative_phi",
     "phi_test_integrals",
-    "phi_test_integrals_quadrature",
-    "phi_test_integrals_elementary",
 ]
 
 
@@ -122,10 +118,6 @@ class SampledFunction:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, fn) -> "SampledFunction":
-        return cls(grid, np.array([fn(t) for t in grid.times], dtype=float))
 
     @property
     def times(self) -> np.ndarray:
@@ -360,16 +352,6 @@ class PowerTestFunction:
         object.__setattr__(self, "horizon", float(self.horizon))
 
 
-def phi_value(phi: PowerTestFunction, t: float) -> float:
-    """Evaluate the power test function, including its zero extension past T."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t > phi.horizon:
-        return 0.0
-    return (1.0 - t / phi.horizon) ** phi.exponent
-
-
 def rl_right_derivative_phi(phi: PowerTestFunction, order: FractionalOrder, t: float) -> float:
     """Right Riemann-Liouville derivative of the power test function at t < T.
 
@@ -387,68 +369,24 @@ def rl_right_derivative_phi(phi: PowerTestFunction, order: FractionalOrder, t: f
     return gamma(lam + 1.0) / gamma(lam + 1.0 - a) * T ** (-a) * (1.0 - t / T) ** (lam - a)
 
 
-def _check_phi_gamma_args(phi: PowerTestFunction, order: FractionalOrder) -> tuple[float, float, float]:
-    lam, T, a = phi.exponent, phi.horizon, order.alpha
-    if order.is_classical:
-        raise ValueError("test-function integrals require alpha in (0, 1)")
-    if lam <= 2.0 * a - 1.0:
-        raise ValueError(f"need exponent > 2*alpha - 1, got exponent={lam}, alpha={a}")
-    for arg in (lam - a, lam - 2.0 * a + 1.0, lam + 1.0 - 2.0 * a):
-        if arg <= 0.0:
-            raise ValueError(f"Gamma argument {arg} is not positive for exponent={lam}, alpha={a}")
-    return lam, T, a
-
-
 def phi_test_integrals(phi: PowerTestFunction, order: FractionalOrder) -> tuple[float, float]:
-    """Closed-form values of the two test-function integrals.
+    """The two test-function integrals, from the elementary antiderivative.
 
     First: integral over [0, T] of the right-RL derivative of phi.
     Second: integral over [0, T] of |right-RL derivative|^2 / phi.
-    Returned exactly as the stated closed forms; see
-    :func:`phi_test_integrals_quadrature` for the independent numeric route,
-    which is known to disagree with these values by an O(1) factor (the
-    T-scaling T^(1-alpha), T^(1-2alpha) agrees). The misprint is in the
-    prefactor: where the right-RL derivative carries
-    Gamma(lam+1)/Gamma(lam+1-alpha), these forms use
-    lam*Gamma(lam-alpha)/Gamma(lam+1-2alpha).
-    :func:`phi_test_integrals_elementary` integrates the derivative in closed
-    form and matches the quadrature route. The values here are kept as
-    printed; the tests report the discrepancy rather than resolving it.
-    """
-    lam, T, a = _check_phi_gamma_args(phi, order)
-    i1 = lam * gamma(lam - a) / ((lam - a + 1.0) * gamma(lam - 2.0 * a + 1.0)) * T ** (1.0 - a)
-    i2 = (
-        lam ** 2
-        / (lam + 1.0 - 2.0 * a)
-        * (gamma(lam - a) / gamma(lam + 1.0 - 2.0 * a)) ** 2
-        * T ** (1.0 - 2.0 * a)
-    )
-    return i1, i2
-
-
-def phi_test_integrals_quadrature(
-    phi: PowerTestFunction, order: FractionalOrder
-) -> tuple[float, float]:
-    """Adaptive quadrature of the same two integrals via rl_right_derivative_phi."""
-    lam, T, _ = _check_phi_gamma_args(phi, order)
-
-    def dphi(t: float) -> float:
-        return rl_right_derivative_phi(phi, order, t)
-
-    i1, _ = quad(dphi, 0.0, T, limit=200)
-    i2, _ = quad(lambda t: dphi(t) ** 2 / phi_value(phi, t), 0.0, T, limit=200)
-    return i1, i2
-
-
-def phi_test_integrals_elementary(phi: PowerTestFunction, order: FractionalOrder) -> tuple[float, float]:
-    """The same two integrals from the elementary antiderivative of the right-RL derivative.
-
     With C = Gamma(lam+1)/Gamma(lam+1-alpha) the derivative is
     C T^(-alpha) (1-t/T)^(lam-alpha), so the integrals are
     Gamma(lam+1)/Gamma(lam+2-alpha) T^(1-alpha) and
-    C^2 T^(1-2alpha)/(lam+1-2alpha).
+    C^2 T^(1-2alpha)/(lam+1-2alpha); the tests check both against adaptive
+    quadrature of the derivative. The closed forms as printed carry the
+    right T-scaling but a misprinted prefactor: where the derivative carries
+    Gamma(lam+1)/Gamma(lam+1-alpha), they use
+    lam*Gamma(lam-alpha)/Gamma(lam+1-2alpha), which puts them 18% and 39%
+    above these values at (lam, alpha, T) = (2, 0.5, 1).
     """
-    lam, T, a = _check_phi_gamma_args(phi, order)
+    if order.is_classical:
+        raise ValueError("test-function integrals require alpha in (0, 1)")
+    lam, T, a = phi.exponent, phi.horizon, order.alpha
     i1 = gamma(lam + 1.0) / gamma(lam + 2.0 - a) * T ** (1.0 - a)
     i2 = (gamma(lam + 1.0) / gamma(lam + 1.0 - a)) ** 2 * T ** (1.0 - 2.0 * a) / (lam + 1.0 - 2.0 * a)
     return i1, i2

@@ -112,15 +112,12 @@ class MarketParams:
 
     rho_max: float = 1.0
     c_tilde: float = 1.0
-    beta: float | None = None  # memory-kernel exponent, 1 - alpha when given
 
     def __post_init__(self) -> None:
         if not self.rho_max > 0.0:
             raise ValueError(f"rho_max must be > 0, got {self.rho_max!r}")
         if not self.c_tilde > 0.0:
             raise ValueError(f"c_tilde must be > 0, got {self.c_tilde!r}")
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -266,10 +263,6 @@ def solve_rho(
     escape_threshold: float = 1e6,
 ) -> FieldHistory:
     """Occupancy-density form: ^C D^alpha rho = d/dx (c*rho*(rho_max - rho))."""
-    if params.beta is not None and abs(params.beta - (1.0 - order.alpha)) > 1e-12:
-        raise ValueError(
-            f"params.beta = {params.beta} is inconsistent with 1 - alpha = {1.0 - order.alpha}"
-        )
     c, rm = params.c_tilde, params.rho_max
     return _march(
         rho0,

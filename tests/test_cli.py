@@ -4,6 +4,10 @@ round-trips, and the documented exit codes."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,19 @@ class TestPde:
         _, data = read_csv(tmp_path / "pde.csv")
         assert np.all(data[:, 2] == 0.25)
 
+    def test_readme_dirichlet_product_has_no_negative_zero(self, tmp_path):
+        # the node x = 0 of the minus-x datum starts at +0.0
+        rc = main([
+            "pde", "--form", "u", "--alpha", "0.5", "--cells", "100",
+            "--h", "1e-5", "--t-max", "0.002", "--bc", "dirichlet",
+            "--initial", "minus-x", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        with open(tmp_path / "pde.csv", newline="") as fh:
+            fields = [v for row in csv.reader(fh) for v in row]
+        assert "0.0" in fields
+        assert "-0.0" not in fields
+
     def test_cfl_violation_exits_3(self, tmp_path):
         rc = main([
             "pde", "--form", "u", "--alpha", "0.5", "--cells", "200",
@@ -245,6 +262,14 @@ def test_manifest_parameters_follow_parser_order(tmp_path, capsys, argv, keys):
     assert rc == 0
     assert list(manifest["parameters"]) == keys
     assert list(manifest)[:6] == ["subcommand", "parameters", "version", "grids", "outputs", "duration_seconds"]
+
+
+def test_import_does_not_load_scipy_integrate():
+    # scipy.integrate drags in linalg, optimize, sparse and spatial: ~25 MB per run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fracburgers.cli; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_version_flag():

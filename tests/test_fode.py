@@ -102,7 +102,6 @@ class TestConfig:
         capped = Nonlinearity.capped_square(4.0)
         assert capped(3.0) == 9.0
         assert capped(5.0) == 16.0
-        assert Nonlinearity.custom(lambda r: r + 1.0)(1.0) == 2.0
         with pytest.raises(ValueError):
             Nonlinearity.capped_square(0.0)
 

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracburgers import frac_ops
@@ -18,9 +20,6 @@ from fracburgers import (
     classical_derivative,
     gamma,
     phi_test_integrals,
-    phi_test_integrals_elementary,
-    phi_test_integrals_quadrature,
-    phi_value,
     rl_fractional_integral,
     rl_right_derivative_phi,
 )
@@ -31,10 +30,7 @@ CAPUTO_T_A05_AT_1 = 1.1283791670955126     # 1/Gamma(1.5)
 CAPUTO_T_A025_AT_2 = 1.8299003401582031    # 2^0.75/Gamma(1.75)
 RIGHT_RL_LAM2_A05_T1_AT_0 = 1.50450555612735
 RIGHT_RL_LAM3_A05_T2_AT_1 = 0.2256758334191025
-# printed closed forms at (lam=2, alpha=0.5, T=1)
-I1_PRINTED = 0.7089815403622064
-I2_PRINTED = 1.5707963267948966            # = pi/2 at these parameters
-# quadrature of the validated right-RL derivative at the same parameters
+# quadrature of the validated right-RL derivative at (lam=2, alpha=0.5, T=1)
 I1_QUADRATURE = 0.60180222245094
 I2_QUADRATURE = 1.131768484209033
 
@@ -221,6 +217,60 @@ class TestRlIntegral:
         assert integ.values[-1] == pytest.approx(2.0, rel=1e-12)
 
 
+def _interpolant_terms(values, h, alpha, caputo):
+    """Per-segment closed forms for the piecewise-linear interpolant, in mpmath.
+
+    Returns terms[n] for n = 1..N: the list whose sum is the exact Caputo
+    derivative (caputo=True) or RL integral at t_n. With u = t_n - tau and
+    u_k = k h, the segment [t_j, t_(j+1)] spans u in [u_k, u_(k+1)] at lag
+    k = n - j - 1. Its Caputo term is the slope times
+    (u_(k+1)^(1-alpha) - u_k^(1-alpha)) / Gamma(2-alpha); its two RL terms are
+    g_j and g_(j+1) times the integrals of their hat functions, (u - u_k)/h
+    and (u_(k+1) - u)/h, against u^(alpha-1)/Gamma(alpha).
+    """
+    a, h = mp.mpf(alpha), mp.mpf(h)
+    g = [mp.mpf(v) for v in values]
+    n = len(g) - 1
+    u = [k * h for k in range(n + 1)]
+    if caputo:
+        w = [(u[k + 1] ** (1 - a) - u[k] ** (1 - a)) / mp.gamma(2 - a) for k in range(n)]
+        slopes = [(g[j + 1] - g[j]) / h for j in range(n)]
+        return [[slopes[j] * w[m - j - 1] for j in range(m)] for m in range(1, n + 1)]
+    lo, hi = [], []  # the weights of g_j and g_(j+1) at lag k
+    for k in range(n):
+        da = (u[k + 1] ** a - u[k] ** a) / a
+        db = (u[k + 1] ** (a + 1) - u[k] ** (a + 1)) / (a + 1)
+        lo.append((db - u[k] * da) / (h * mp.gamma(a)))
+        hi.append((u[k + 1] * da - db) / (h * mp.gamma(a)))
+    return [
+        [t for j in range(m) for t in (g[j] * lo[m - j - 1], g[j + 1] * hi[m - j - 1])]
+        for m in range(1, n + 1)
+    ]
+
+
+class TestPiecewiseLinearExactness:
+    # both batch operators are exact on the piecewise-linear interpolant of
+    # arbitrary node values, up to a normwise roundoff of the convolution
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=65),
+        alpha=st.floats(0.02, 1.0),
+        h=st.floats(1e-3, 1.0),
+        caputo=st.booleans(),
+    )
+    def test_matches_per_segment_closed_forms(self, values, alpha, h, caputo):
+        assume(not (caputo and alpha == 1.0))  # the Caputo operator refuses the classical order
+        f = SampledFunction(TimeGrid(h, len(values) - 1), np.array(values))
+        op = caputo_left if caputo else rl_fractional_integral
+        got = op(f, FractionalOrder(alpha)).values
+        with mp.workdps(40):
+            terms = _interpolant_terms(values, h, alpha, caputo)
+            want = np.array([float(mp.fsum(row)) for row in terms])
+            scale = max(float(mp.fsum(abs(t) for t in row)) for row in terms)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got[1:] - want)) <= 1e-13 * scale
+
+
 def _table(kind, alpha, n):
     """The L1 weights b_0..b_{n-1} or the product-trapezoid interior weights d_1..d_n."""
     return frac_ops._power_increments(1.0 - alpha, n) if kind == "l1" else frac_ops._pt_weights(alpha, n)[0]
@@ -397,15 +447,6 @@ class TestPowerTestFunction:
         with pytest.raises(ValueError):
             PowerTestFunction(2.0, 0.0)
 
-    def test_phi_values(self):
-        phi = PowerTestFunction(2.0, 4.0)
-        assert phi_value(phi, 0.0) == 1.0
-        assert phi_value(phi, 4.0) == 0.0
-        assert phi_value(phi, 2.0) == pytest.approx(0.25, rel=1e-15)
-        assert phi_value(phi, 7.0) == 0.0
-        with pytest.raises(ValueError):
-            phi_value(phi, -0.1)
-
     def test_right_derivative_frozen_values(self):
         phi = PowerTestFunction(2.0, 1.0)
         val = rl_right_derivative_phi(phi, FractionalOrder(0.5), 0.0)
@@ -442,12 +483,30 @@ class TestPowerTestFunction:
         assert closed == pytest.approx(numeric, rel=1e-5)
 
 
+def _quadrature_integrals(phi, order):
+    """Adaptive quadrature of the two test-function integrals of the validated derivative."""
+    lam, T = phi.exponent, phi.horizon
+
+    def dphi(t):
+        return rl_right_derivative_phi(phi, order, t)
+
+    i1, _ = quad(dphi, 0.0, T, limit=200)
+    i2, _ = quad(lambda t: dphi(t) ** 2 / (1.0 - t / T) ** lam, 0.0, T, limit=200)
+    return i1, i2
+
+
 class TestPhiIntegrals:
-    def test_printed_values(self):
+    def test_frozen_values(self):
+        # the printed closed forms sit 18% and 39% above these values
         phi = PowerTestFunction(2.0, 1.0)
-        i1, i2 = phi_test_integrals(phi, FractionalOrder(0.5))
-        assert i1 == pytest.approx(I1_PRINTED, rel=1e-12)
-        assert i2 == pytest.approx(I2_PRINTED, rel=1e-12)
+        order = FractionalOrder(0.5)
+        for i1, i2 in (phi_test_integrals(phi, order), _quadrature_integrals(phi, order)):
+            assert i1 == pytest.approx(I1_QUADRATURE, rel=1e-10)
+            assert i2 == pytest.approx(I2_QUADRATURE, rel=1e-10)
+
+    def test_classical_order_rejected(self):
+        with pytest.raises(ValueError):
+            phi_test_integrals(PowerTestFunction(2.0, 1.0), FractionalOrder(1.0))
 
     def test_homogeneity_in_horizon(self):
         order = FractionalOrder(0.5)
@@ -462,31 +521,11 @@ class TestPhiIntegrals:
         assert i1b / i1a == pytest.approx(2.0 ** 0.75, rel=1e-12)
         assert i2b / i2a == pytest.approx(2.0 ** 0.5, rel=1e-12)
 
-    def test_quadrature_route_and_discrepancy_report(self):
-        # The printed closed forms do not match direct quadrature of the
-        # validated right-RL derivative; the discrepancy is reported here and
-        # must not be silently "fixed" on either side.
-        phi = PowerTestFunction(2.0, 1.0)
-        order = FractionalOrder(0.5)
-        p1, p2 = phi_test_integrals(phi, order)
-        q1, q2 = phi_test_integrals_quadrature(phi, order)
-        assert q1 == pytest.approx(I1_QUADRATURE, rel=1e-8)
-        assert q2 == pytest.approx(I2_QUADRATURE, rel=1e-8)
-        rel1 = abs(p1 - q1) / abs(q1)
-        rel2 = abs(p2 - q2) / abs(q2)
-        print(
-            f"\n[report] test-function integral pair at (lam=2, alpha=0.5, T=1): "
-            f"printed=({p1:.12g}, {p2:.12g}) quadrature=({q1:.12g}, {q2:.12g}) "
-            f"relative discrepancy=({rel1:.4f}, {rel2:.4f})"
-        )
-
     @pytest.mark.parametrize("lam, alpha, horizon", [(2.0, 0.5, 1.0), (3.0, 0.25, 2.0), (5.5, 0.8, 0.7)])
     def test_elementary_route_matches_quadrature(self, lam, alpha, horizon):
-        # the third route integrates the validated derivative by hand; it
-        # agrees with quadrature, which places the misprint in the printed forms
         phi = PowerTestFunction(lam, horizon)
         order = FractionalOrder(alpha)
-        e1, e2 = phi_test_integrals_elementary(phi, order)
-        q1, q2 = phi_test_integrals_quadrature(phi, order)
+        e1, e2 = phi_test_integrals(phi, order)
+        q1, q2 = _quadrature_integrals(phi, order)
         assert e1 == pytest.approx(q1, rel=1e-10)
         assert e2 == pytest.approx(q2, rel=1e-10)

@@ -84,22 +84,6 @@ class TestTypes:
             MarketParams(rho_max=0.0)
         with pytest.raises(ValueError):
             MarketParams(c_tilde=-1.0)
-        with pytest.raises(ValueError):
-            MarketParams(beta=1.5)
-
-    def test_beta_must_match_order(self):
-        sp = SpatialGrid(-1, 1, 8)
-        tg = TimeGrid(1e-4, 5)
-        with pytest.raises(ValueError):
-            solve_rho(
-                np.full(8, 0.5), FO(0.5), sp, tg, BoundaryRule.periodic(),
-                params=MarketParams(beta=0.3),
-            )
-        # consistent beta = 1 - alpha is accepted
-        solve_rho(
-            np.full(8, 0.5), FO(0.5), sp, tg, BoundaryRule.periodic(),
-            params=MarketParams(beta=0.5),
-        )
 
 
 class TestFixedPoints:
