@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time as _time
@@ -102,16 +103,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.delta is not None:
         c = _bounds.lower_bound_constants(order, args.delta)
         report["lower_bound"] = c.T
-        report["lower_bound_constants"] = {
-            "delta": c.delta,
-            "kappa": c.kappa,
-            "eta": c.eta,
-            "d": c.d,
-            "a": c.a,
-            "b": c.b,
-            "T": c.T,
-            "c_delta": c.c_delta,
-        }
+        report["lower_bound_constants"] = {k: v for k, v in dataclasses.asdict(c).items() if k != "alpha"}
     report["manifest"] = _manifest(args, {}, [], t0)
     print(json.dumps(report, indent=2))
     return 0

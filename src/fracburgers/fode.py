@@ -1,23 +1,22 @@
 """Scalar fractional Cauchy solver and blow-up bracketing.
 
 Solves ^C D^alpha v = f(v), v(0) = v0 through the equivalent Volterra
-integral form with a product-integration predictor-corrector: predictor by
-product-rectangle weights, corrector by product-trapezoid weights. Both come
-from the frac_ops tables; the corrector reads the same tables as
-frac_ops.rl_fractional_integral, so its fixed point is the discrete Volterra
-equation itself. alpha = 1 is routed to an explicit second-order one-step
-method.
+integral form with a product-integration predictor-corrector (Diethelm, Ford
+& Freed, Nonlinear Dyn. 29, 2002): predictor by product-rectangle weights,
+corrector by product-trapezoid weights, both from the frac_ops tables, as in
+frac_ops.rl_fractional_integral, so the corrector's fixed point is the
+discrete Volterra equation itself. alpha = 1 is routed to an explicit
+second-order one-step method.
 
-Marching keeps the full history of f(v_0..v_n) in one frac_ops.LaggedSum
-with two weight rows, predictor and corrector, which evaluates the full sums
-in O(N log^2 N) by an exact blocked-FFT reordering: the memory term is the
-object under study, so no windowing or kernel compression is applied.
+The march sums the history g_j = f(v_j) - f(v_0) in one frac_ops.LaggedSum
+with two weight rows, predictor and corrector (full sums, exact blocked-FFT
+reordering, no windowing: the memory term is the object under study), and
+adds f(v_0) through the closed-form weight sums of the rules on constants.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +44,10 @@ __all__ = [
     "estimate_blowup",
     "volterra_residual",
 ]
+
+
+THRESHOLD_LEVELS = 3  # thresholds per step of the blow-up ladder
+THRESHOLD_GROWTH = 100.0  # ratio of successive ladder thresholds
 
 
 class NoBlowupDetected(RuntimeError):
@@ -203,43 +206,6 @@ def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajec
     return _finish(values, h, None)
 
 
-class _MarchTables:
-    """Weight tables of one fractional march, grown fourfold as the march needs more lags.
-
-    `rows` holds the product-rectangle (predictor) and product-trapezoid
-    interior (corrector) weights of lags 1..size. The corrector row also
-    applies its lag-(n+1) weight to f(v_0), so `edge[n]` is the left-boundary
-    weight of target n + 1 minus that interior weight. The tables follow the
-    march, not the horizon: an early escape builds short ones.
-    """
-
-    __slots__ = ("alpha", "n_steps", "rows", "edge")
-
-    def __init__(self, alpha: float, n_steps: int):
-        self.alpha = alpha
-        self.n_steps = n_steps
-        self.rows = np.empty((2, 0))
-        self.edge = array("d")
-
-    def grow(self, count: int) -> None:
-        if count > self.rows.shape[1]:
-            # fourfold from 1024 lags, but no further than the fewer than
-            # 2 n_steps lags that the FFT blocks of the march read
-            grown = min(max(4 * self.rows.shape[1], 1024), 2 * self.n_steps)
-            size = max(count, grown)
-            self.rows = rows = np.empty((2, size))
-            rows[0] = _power_increments(self.alpha, size)
-            rows[1], left = _pt_weights(self.alpha, size)
-            edge = left - rows[1]
-            # indexing yields Python floats, as from a list, at 8 bytes an entry
-            self.edge = array("d", edge[: self.n_steps].tobytes())
-
-    def weights(self, count: int) -> np.ndarray:
-        """Both weight rows for lags 1..count, as frac_ops.LaggedSum asks for them."""
-        self.grow(count)
-        return self.rows[:, :count]
-
-
 def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig) -> Trajectory:
     alpha = order.alpha
     h = config.step
@@ -249,22 +215,22 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
     c_pred = h ** alpha / gamma(alpha + 1.0)
     c_corr = h ** alpha / gamma(alpha + 2.0)
 
-    # One history f(v_0..v_n) with the predictor and corrector weight rows;
-    # Python floats and the bound f.fn keep the per-step scalar work cheap.
+    # The history holds f(v_j) - f(v_0); f(v_0) enters target n + 1 through
+    # the weight sums on constants, (n+1)^alpha and (alpha+1) (n+1)^alpha less
+    # the corrector's weight 1 on f(v_{n+1}). Python floats and the bound f.fn
+    # keep the per-step scalar work cheap.
     rhs = f.fn
-    tables = _MarchTables(alpha, n_steps)
-    sums = LaggedSum(tables.weights, n_steps + 1)
-    edge = tables.edge
+    sums = LaggedSum(lambda m: np.stack((_power_increments(alpha, m), _pt_weights(alpha, m))), n_steps + 1)
     f0 = float(rhs(v0))
-    sums.append(f0)
+    pred_f0 = c_pred * f0
+    corr_f0 = (alpha + 1.0) * f0
+    sums.append(0.0)
     values = [v0]
     for n in range(n_steps):
-        if n == len(edge):
-            tables.grow(n + 1)
-            edge = tables.edge
         pred, corr = sums.value().tolist()
-        vp = v0 + c_pred * pred
-        hist = edge[n] * f0 + corr
+        p = (n + 1.0) ** alpha
+        vp = v0 + c_pred * pred + pred_f0 * p
+        hist = corr + (corr_f0 * p - f0)
         vn = vp
         for _ in range(sweeps):
             vn = v0 + c_corr * (hist + rhs(vn))
@@ -273,7 +239,7 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
         values.append(vn)
         if abs(vn) > threshold:
             return _finish(values, h, n + 1)
-        sums.append(rhs(vn))
+        sums.append(rhs(vn) - f0)
     return _finish(values, h, None)
 
 
@@ -305,9 +271,10 @@ def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder)
 
     Substitutes the computed values into v0 + I^alpha[f(v)] evaluated by
     frac_ops.rl_fractional_integral and returns the worst node mismatch. The
-    march and the residual share the product-trapezoid weight formulas; only
-    the summation path is independent (one full-length real FFT here, which
-    shares no blocking with the march's lagged sums).
+    march and the residual share the product-trapezoid interior table and
+    both add f(v_0) through the closed-form weight sum (alpha+1) n^alpha;
+    only the summation path is independent (one full-length real FFT here,
+    which shares no blocking with the march's lagged sums).
     """
     fn = f.fn
     fv = SampledFunction(traj.samples.grid, np.array([fn(r) for r in traj.values.tolist()]))
@@ -315,22 +282,16 @@ def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder)
     return float(np.max(np.abs(rhs - traj.values)))
 
 
-def estimate_blowup(
-    order: FractionalOrder,
-    config_seed: SolverConfig,
-    refinements: int = 3,
-    threshold_levels: int = 3,
-    threshold_growth: float = 100.0,
-) -> BlowupEstimate:
+def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinements: int = 3) -> BlowupEstimate:
     """Bracket the blow-up time of ^C D^alpha v = v^2, v(0) = 1.
 
     Reads a (step, threshold) ladder: the seed step halved `refinements`
-    times and the seed threshold multiplied by `threshold_growth`
-    `threshold_levels - 1` times. The threshold only decides where a march
-    stops, so each step runs one march, at the largest threshold, and the
-    escape index of every smaller threshold x is read from that trajectory:
-    the first node with |v| > x, or the node where the march overflowed if
-    no finite value exceeds x. The trace is the one a separate march per
+    times, and the seed threshold times THRESHOLD_GROWTH ** i for
+    i < THRESHOLD_LEVELS. The threshold only decides where a march stops, so
+    each step runs one march, at the largest threshold, and the escape index
+    of every smaller threshold x is read from that trajectory: the first node
+    with |v| > x, or the node where the march overflowed if no finite value
+    exceeds x. The trace is the one a separate march per
     (step, threshold) pair would give. The upper end of the bracket is the
     escape time at the finest step and largest threshold plus one step; the
     lower end subtracts a Richardson-style correction taken from the last
@@ -342,23 +303,16 @@ def estimate_blowup(
     """
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
-    if threshold_levels < 2:
-        raise ValueError(f"threshold_levels must be >= 2, got {threshold_levels}")
-    if threshold_growth <= 1.0:
-        raise ValueError(f"threshold_growth must be > 1, got {threshold_growth}")
 
     f = Nonlinearity.square()
     horizon, sweeps = config_seed.horizon, config_seed.corrector_sweeps
     steps = [config_seed.step / 2.0 ** i for i in range(refinements + 1)]
     seed = config_seed.escape_threshold
-    try:
-        thresholds = [seed * threshold_growth ** i for i in range(threshold_levels)]
-    except OverflowError:  # the power itself left the float range
-        thresholds = [math.inf]
+    thresholds = [seed * THRESHOLD_GROWTH ** i for i in range(THRESHOLD_LEVELS)]
     if not math.isfinite(thresholds[-1]):
         raise ValueError(
-            f"the top ladder threshold overflows: escape_threshold {seed:g} * threshold_growth "
-            f"{threshold_growth:g} ** (threshold_levels {threshold_levels} - 1) is not finite"
+            f"the top ladder threshold overflows: escape_threshold {seed:g} * "
+            f"{THRESHOLD_GROWTH:g} ** {THRESHOLD_LEVELS - 1} is not finite"
         )
     for x in thresholds:
         _validate(f, 1.0, SolverConfig(steps[0], horizon, x, sweeps))
@@ -383,7 +337,7 @@ def estimate_blowup(
 
     # the finest and the next-coarser step, both at the largest threshold
     e_fine = trace[-1][2]
-    e_prev = trace[-1 - threshold_levels][2]
+    e_prev = trace[-1 - THRESHOLD_LEVELS][2]
     h_fine = steps[-1]
     t_hi = e_fine + h_fine
     correction = abs(e_prev - e_fine) + h_fine

@@ -11,18 +11,20 @@ exactness contracts in the tests sharp.
 Every weight formula of the package lives here: one power-increment table
 (k+1)^p - k^p, evaluated as k^p expm1(p log1p(1/k)) so that it does not
 cancel, gives the L1 weights (p = 1 - alpha) and the product-rectangle
-predictor weights (p = alpha); the product-trapezoid interior and
-left-boundary tables are second differences of k^(a+1), which cancel about
-k^2-fold in closed form, so they are summed as binomial series of positive
-terms. The tables are rebuilt per call, not cached.
+predictor weights (p = alpha); the product-trapezoid interior table is a
+second difference of k^(a+1), which cancels about k^2-fold in closed form,
+so it is summed as a binomial series of positive terms. No left-boundary
+weight is tabulated: the product rules are exact on constants, so callers
+sum g - g(t_0) and add g(t_0) times the closed-form weight sum.
 
 The marching solvers (fode, pde) take their memory terms from one
 incremental primitive, :class:`LaggedSum`, which evaluates the full O(N^2)
 sum in O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
 and target is still summed once, with no history compression and no
-windowing. :func:`caputo_left` and :func:`rl_fractional_integral` evaluate
-the same sums in one batch, as one full-length zero-padded real FFT
+windowing, on tables and buffers that grow with the march.
+:func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
+in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
 :class:`LaggedSum`, so the tests and the Volterra residual that compare the
 marches against them check the blocking too; the tests check the batch path
@@ -146,43 +148,34 @@ def _power_increments(p: float, count: int) -> np.ndarray:
     return out
 
 
-def _pt_weights(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product-trapezoid interior and left-boundary weights, k = 1..count.
+def _pt_weights(alpha: float, count: int) -> np.ndarray:
+    """Product-trapezoid interior weights d_k, k = 1..count.
 
-    Interior: d_k = (k+1)^(a+1) + (k-1)^(a+1) - 2k^(a+1), the weight of
-    g(t_{n-k}) at target t_n. Left boundary: (k-1)^(a+1) - k^a (k-a-1), the
-    weight of g(t_0) at target t_k. Both closed forms are second differences
-    of k^(a+1) and cancel about k^2-fold. With x = 1/k and c_j = |C(a+1, j)|
-    (C(a+1, j) has the sign of (-1)^j for j >= 2), they are
-    d_k = 2 k^(a+1) E and left_k = k^(a+1) (E + O), where E and O sum the
-    positive terms c_j x^j over even and over odd j >= 2. Successive terms of
-    each part shrink at least by x^2, so orders up to 59 for k <= 16 and up
-    to 17 beyond leave tails below 2^-56. At k = 1: d_1 = 2 (2^a - 1) from
-    expm1, and left_1 = a.
+    d_k = (k+1)^(a+1) + (k-1)^(a+1) - 2k^(a+1) is the weight of g(t_{n-k})
+    at target t_n. The closed form is a second difference of k^(a+1) and
+    cancels about k^2-fold. With x = 1/k and c_j = |C(a+1, j)| (C(a+1, j)
+    has the sign of (-1)^j for j >= 2), it is d_k = 2 k^(a+1) E, where E
+    sums the positive terms c_j x^j over even j >= 2. Successive terms shrink
+    at least by x^2, so orders up to 58 for k <= 16 and up to 16 beyond leave
+    tails below 2^-56. At k = 1: d_1 = 2 (2^a - 1) from expm1.
     """
-    ratios = (np.arange(2.0, 59.0) - alpha - 1.0) / np.arange(3.0, 60.0)
-    c = 0.5 * (alpha + 1.0) * alpha * np.cumprod(np.concatenate(([1.0], ratios)))  # c_2..c_59
+    ratios = (np.arange(2.0, 58.0) - alpha - 1.0) / np.arange(3.0, 59.0)
+    c = 0.5 * (alpha + 1.0) * alpha * np.cumprod(np.concatenate(([1.0], ratios)))  # c_2..c_58
     k = np.arange(2, count + 1, dtype=float)
     x = 1.0 / k
-    even, odd = np.empty(count), np.empty(count)  # E and O / x at k = 2..count, in slots 1..
-    powers = x[:15, None] ** np.arange(0.0, 58.0, 2.0)  # k = 2..16
-    even[1:16] = powers @ c[0::2]
-    odd[1:16] = powers @ c[1::2]
-    y = x[15:] * x[15:]  # Horner in x^2 from order 16 (17) down, in place
-    for part, coefs in ((even[16:], c[14::-2]), (odd[16:], c[15::-2])):
-        part[:] = coefs[0]
-        for cj in coefs[1:].tolist():
-            part *= y
-            part += cj
-    odd[1:] *= x
-    odd[1:] += even[1:]  # the left-boundary series E + O
-    even[1:] *= 2.0  # the interior series 2E
-    scale = np.power(k, alpha - 1.0, out=k)  # k^(a+1) x^2: the series start at order 2
-    even[1:] *= scale
-    odd[1:] *= scale
-    even[:1] = 2.0 * np.expm1(alpha * np.log(2.0))
-    odd[:1] = alpha
-    return even, odd
+    out = np.empty(count)
+    even = out[1:]  # E at k = 2..count
+    even[:15] = (x[:15, None] ** np.arange(0.0, 58.0, 2.0)) @ c[0::2]  # k = 2..16
+    y = x[15:] * x[15:]  # Horner in x^2 from order 16 down, in place
+    tail = even[15:]
+    tail[:] = c[14]
+    for cj in c[12::-2].tolist():
+        tail *= y
+        tail += cj
+    even *= 2.0
+    even *= np.power(k, alpha - 1.0, out=k)  # k^(a+1) x^2: the series start at order 2
+    out[:1] = 2.0 * np.expm1(alpha * np.log(2.0))
+    return out
 
 
 _BLOCK = 128  # base block B of LaggedSum: lags below it are summed directly
@@ -214,24 +207,37 @@ class LaggedSum:
 
     Every (target, source) pair is counted exactly once, by the near part or
     by the one block pair whose halves separate them; nothing is compressed or
-    windowed. Weight tables and spectra grow with the levels the history
-    reaches, not with `capacity`. With one weight row the far sums of future
-    targets live in the history buffer's not-yet-written slots (slot n holds
-    far[n] until g_n overwrites it), so they cost no memory of their own.
+    windowed. Everything it stores grows with the history; `capacity` is only
+    the upper limit. The weight table grows fourfold from 1024 lags up to
+    2 * capacity, spectra are added per level reached, and the history and
+    far-sum buffers start at min(capacity, B) rows and double in place at a
+    flush. With one weight row the far sums of future targets live in the
+    history buffer's not-yet-written slots (slot n holds far[n] until g_n
+    overwrites it), so they cost no memory of their own.
     """
 
-    __slots__ = ("_weights", "_near", "_spectra", "_history", "_far", "_size")
+    __slots__ = ("_weights", "_capacity", "_table", "_near", "_spectra", "_history", "_far", "_size")
 
     def __init__(self, weights: Callable[[int], np.ndarray], capacity: int, shape: tuple[int, ...] = ()):
         self._weights = weights
-        near = np.ascontiguousarray(np.asarray(weights(_BLOCK - 1), dtype=float)[..., ::-1])  # w_{B-1}..w_1
+        self._capacity = capacity
+        self._table = np.empty(0)
+        near = np.ascontiguousarray(self._lags(_BLOCK - 1)[..., ::-1])  # w_{B-1}..w_1
         # the near part of s_n dots the last r = n mod B of these with g_{n-r}..g_{n-1}
         self._near = [near[..., _BLOCK - 1 - r :] for r in range(_BLOCK)]
         self._spectra: list[np.ndarray] = []
-        self._history = np.zeros((capacity, *shape))
-        rows = near.shape[:-1]
-        self._far = np.zeros((capacity, *rows, *shape)) if rows else self._history
+        rows = min(capacity, _BLOCK)
+        self._history = np.zeros((rows, *shape))
+        weight_rows = near.shape[:-1]
+        self._far = np.zeros((rows, *weight_rows, *shape)) if weight_rows else self._history
         self._size = 0
+
+    def _lags(self, count: int) -> np.ndarray:
+        """w_1..w_count from the cached table, grown when it is too short."""
+        if count > self._table.shape[-1]:
+            grown = min(max(4 * self._table.shape[-1], 1024), 2 * self._capacity)
+            self._table = np.asarray(self._weights(max(count, grown)), dtype=float)
+        return self._table[..., :count]
 
     def append(self, g) -> None:
         s = self._size
@@ -251,13 +257,20 @@ class LaggedSum:
         blocks = s // _BLOCK
         level = (blocks & -blocks).bit_length() - 1
         size = _BLOCK << level
-        count = min(size, self._far.shape[0] - s)
+        count = min(size, self._capacity - s)
         if count == 0:  # the last entry: no sum reads it
             return
+        if len(self._history) < s + count:
+            # one doubling reaches s + count, since a block is never longer
+            # than the history before it; nothing holds a view of the buffers here
+            rows = min(2 * len(self._history), self._capacity)
+            self._history.resize((rows, *self._history.shape[1:]), refcheck=False)
+            if self._far is not self._history:
+                self._far.resize((rows, *self._far.shape[1:]), refcheck=False)
         if level == len(self._spectra):  # levels first appear in increasing order
             # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
             # rotated by one lag, so the outputs below are read one index early
-            spectrum = np.fft.rfft(self._weights(2 * size - 1), 2 * size)
+            spectrum = np.fft.rfft(self._lags(2 * size - 1), 2 * size)
             self._spectra.append(spectrum.reshape(-1, size + 1, 1))
         spectrum = self._spectra[level]  # (rows, L + 1, 1)
         block = self._history[s - size : s].reshape(size, -1)
@@ -319,20 +332,21 @@ def rl_fractional_integral(g: SampledFunction, order: FractionalOrder) -> Sample
 
     Product-trapezoidal rule: exact (up to roundoff) for piecewise-linear g.
     At alpha = 1 the weights reduce to the ordinary trapezoid rule. The
-    interior sum is one FFT convolution (:func:`_causal_convolution`),
-    O(N log N) for N nodes.
+    interior sum over g - g(t_0) is one FFT convolution
+    (:func:`_causal_convolution`, O(N log N) for N nodes); g(t_0) enters
+    through the weight sum of the rule on constants, (alpha+1) n^alpha.
     """
     alpha = order.alpha
     n = g.grid.count
     h = g.grid.step
-    vals = g.values
-    scale = h ** alpha / gamma(alpha + 2.0)
+    g0 = g.values[0]
+    vals = g.values - g0
     out = np.zeros(n + 1)
     inner = np.zeros(n)
-    d, a0 = _pt_weights(alpha, n)
     if n >= 2:
-        inner[1:] = _causal_convolution(vals[1:n], d)
-    out[1:] = scale * (a0 * vals[0] + inner + vals[1:])
+        inner[1:] = _causal_convolution(vals[1:n], _pt_weights(alpha, n))
+    out[1:] = (alpha + 1.0) * g0 * np.power(np.arange(1.0, n + 1.0), alpha) + inner + vals[1:]
+    out[1:] *= h ** alpha / gamma(alpha + 2.0)
     return SampledFunction(g.grid, out)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracburgers import fode, frac_ops
+from fracburgers import cli, fode, frac_ops
 from fracburgers import (
     FractionalOrder,
     NoBlowupDetected,
@@ -62,10 +62,10 @@ def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
     return np.array(v)
 
 
-def _ladder_direct(order, seed, refinements=3, threshold_levels=3, threshold_growth=100.0):
+def _ladder_direct(order, seed, refinements=3):
     """The blow-up ladder as one solve per (step, threshold) pair: (t_lo, t_hi, trace)."""
     steps = [seed.step / 2.0 ** i for i in range(refinements + 1)]
-    thresholds = [seed.escape_threshold * threshold_growth ** i for i in range(threshold_levels)]
+    thresholds = [seed.escape_threshold * 100.0 ** i for i in range(3)]
     trace = []
     for h in steps:
         for x in thresholds:
@@ -75,7 +75,7 @@ def _ladder_direct(order, seed, refinements=3, threshold_levels=3, threshold_gro
                     f"no blow-up detected below horizon {seed.horizon} (step {h:g}, threshold {x:g})", trace
                 )
             trace.append((h, x, traj.escape_time))
-    e_fine, e_prev, h_fine = trace[-1][2], trace[-1 - threshold_levels][2], steps[-1]
+    e_fine, e_prev, h_fine = trace[-1][2], trace[-4][2], steps[-1]
     t_hi = e_fine + h_fine
     t_lo = min(max(e_fine - (abs(e_prev - e_fine) + h_fine), 0.5 * h_fine), t_hi)
     return t_lo, t_hi, trace
@@ -159,6 +159,25 @@ class TestSolve:
         assert np.all(v >= w * (1.0 - 2e-2))
         assert np.all(v <= z * (1.0 + 2e-2))
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(0.1, 0.99))
+    def test_envelope_sandwich_over_random_orders(self, alpha):
+        # w <= v <= z on 200 steps over [0, 0.999 T]: to roundoff past the
+        # construction delay d, where the subsolution inequality holds; below
+        # it the t^alpha initial layer may put v marginally above z
+        order = FractionalOrder(alpha)
+        c = lower_bound_constants(order, 0.5)
+        horizon = 0.999 * c.T
+        traj = solve(SQUARE, 1.0, order, SolverConfig(horizon / 200, horizon))
+        assert traj.status == "completed" and traj.values.size == 201
+        t, v = traj.times, traj.values
+        w = np.array([envelope_w(order, tt) for tt in t])
+        z = np.array([envelope_z(order, 0.5, tt) for tt in t])
+        past = t >= c.d
+        assert np.all(w[past] <= v[past] * (1.0 + 1e-12))
+        assert np.all(v[past] <= z[past] * (1.0 + 1e-12))
+        assert max(np.max((w - v) / w), np.max((v - z) / z)) <= 1e-3
+
     def test_consistency_near_classical_order(self):
         frac = solve(SQUARE, 1.0, FractionalOrder(1.0 - 1e-3), SolverConfig(1e-3, 0.5))
         classical = solve(SQUARE, 1.0, FractionalOrder(1.0), SolverConfig(1e-3, 0.5))
@@ -188,15 +207,21 @@ class TestSolve:
     # 2B and 4B values reach later steps through FFTs) over the span of 200
     # coarse steps, about half the blow-up time (0.023 at alpha = 0.3, 0.46 at 0.7)
     @pytest.mark.parametrize("alpha, coarse_step", [(0.3, 5e-5), (0.7, 1e-3)])
-    @pytest.mark.parametrize("sweeps", [1, 3])
-    def test_matches_direct_scheme(self, alpha, coarse_step, sweeps):
-        # the blocked memory sums reproduce the scheme evaluated term by
-        # term; only the summation order differs
+    # v0 = 0.6 makes f(v0) = 0.36 differ from f(v0)^2 and from 1
+    @pytest.mark.parametrize(
+        "sweeps, v0",
+        [pytest.param(sweeps, 1.0, id=f"{sweeps}") for sweeps in (1, 3)]
+        + [pytest.param(sweeps, 0.6, id=f"{sweeps}-v0.6") for sweeps in (1, 3)],
+    )
+    def test_matches_direct_scheme(self, alpha, coarse_step, sweeps, v0):
+        # the blocked memory sums over f(v_j) - f(v_0) plus the closed-form
+        # weight sums on f(v_0) reproduce the scheme evaluated term by term,
+        # left-boundary weight included; only the summation order differs
         n_steps = 4 * frac_ops._BLOCK
         h = 200 * coarse_step / n_steps
-        traj = solve(SQUARE, 1.0, FractionalOrder(alpha), SolverConfig(h, n_steps * h, corrector_sweeps=sweeps))
+        traj = solve(SQUARE, v0, FractionalOrder(alpha), SolverConfig(h, n_steps * h, corrector_sweeps=sweeps))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
-        ref = _pece_direct(alpha, h, n_steps, sweeps)
+        ref = _pece_direct(alpha, h, n_steps, sweeps, v0)
         assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
 
     def test_tables_follow_the_march_not_the_horizon(self, monkeypatch):
@@ -355,6 +380,16 @@ class TestBlowupEstimate:
         assert any(len(escapes) == 1 for escapes in by_step.values())
         assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
 
+    def test_ladder_does_not_scale_with_the_horizon(self):
+        # alpha = 0.1 blows up at 1.4e-6: the march at seed 1e-9 escapes after
+        # about 1e4 steps, however far the horizon lies
+        order = FractionalOrder(0.1)
+        far = estimate_blowup(order, SolverConfig(1e-9, 1.7))
+        near = estimate_blowup(order, SolverConfig(1e-9, 1e-4))
+        assert (far.t_lo, far.t_hi, far.refinement_trace) == (near.t_lo, near.t_hi, near.refinement_trace)
+        # the bracket itself sits one step quantum high (ROADMAP Known defect 1)
+        assert (far.t_lo, far.t_hi) == pytest.approx((1.397375e-6, 1.400375e-6), rel=1e-12)
+
     def test_no_blowup_below_horizon(self):
         with pytest.raises(NoBlowupDetected):
             estimate_blowup(FractionalOrder(0.9), SolverConfig(1e-3, 0.05), refinements=1)
@@ -363,21 +398,14 @@ class TestBlowupEstimate:
         seed = SolverConfig(1e-3, 1.7)
         with pytest.raises(ValueError):
             estimate_blowup(FractionalOrder(0.5), seed, refinements=0)
-        with pytest.raises(ValueError):
-            estimate_blowup(FractionalOrder(0.5), seed, threshold_levels=1)
-        with pytest.raises(ValueError):
-            estimate_blowup(FractionalOrder(0.5), seed, threshold_growth=0.5)
         # the lowest threshold must exceed v(0) = 1 even though only the top one is marched
         with pytest.raises(ValueError, match="must exceed"):
             estimate_blowup(FractionalOrder(0.5), SolverConfig(1e-3, 1.7, escape_threshold=0.5))
 
-    @pytest.mark.parametrize("growth, levels", [(1e10, 2), (100.0, 400)])
-    def test_overflowing_top_threshold_names_the_ladder(self, growth, levels):
-        # 1e300 * 1e10 overflows to inf; 100.0 ** 399 raises OverflowError
-        seed = SolverConfig(1e-3, 1.7, escape_threshold=1e300)
-        with pytest.raises(ValueError) as err:
-            estimate_blowup(FractionalOrder(0.5), seed, threshold_levels=levels, threshold_growth=growth)
-        message = str(err.value)
-        assert "escape_threshold 1e+300" in message
-        assert f"threshold_growth {growth:g}" in message
-        assert f"threshold_levels {levels}" in message
+    def test_overflowing_top_threshold_names_the_ladder(self, capsys):
+        # the top rung 1e305 * 100 ** 2 overflows to inf
+        seed = SolverConfig(1e-3, 1.7, escape_threshold=1e305)
+        with pytest.raises(ValueError, match=r"escape_threshold 1e\+305 \* 100 \*\* 2 is not finite"):
+            estimate_blowup(FractionalOrder(0.5), seed)
+        assert cli.main(["blowup", "--alpha", "0.5", "--threshold", "1e305"]) == 2
+        assert "escape_threshold 1e+305" in capsys.readouterr().err

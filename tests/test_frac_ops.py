@@ -273,7 +273,7 @@ class TestPiecewiseLinearExactness:
 
 def _table(kind, alpha, n):
     """The L1 weights b_0..b_{n-1} or the product-trapezoid interior weights d_1..d_n."""
-    return frac_ops._power_increments(1.0 - alpha, n) if kind == "l1" else frac_ops._pt_weights(alpha, n)[0]
+    return frac_ops._power_increments(1.0 - alpha, n) if kind == "l1" else frac_ops._pt_weights(alpha, n)
 
 
 def _convolve_reference(g, w):
@@ -335,7 +335,10 @@ class TestBatchConvolution:
         g = SampledFunction(TimeGrid(0.01, count), rng.standard_normal(count + 1))
         got = rl_fractional_integral(g, FractionalOrder(alpha)).values
         c = 0.01 ** alpha / gamma(alpha + 2.0)
-        d, a0 = frac_ops._pt_weights(alpha, count)
+        d = _table("pt", alpha, count)
+        with mp.workdps(40):  # the left-boundary weight of g(t_0) at target t_n
+            a = mp.mpf(alpha)
+            a0 = np.array([float((n - 1) ** (a + 1) - n ** a * (n - a - 1)) for n in map(mp.mpf, range(1, count + 1))])
         v = g.values
         inner, scale = _convolve_reference(v[1:count], d) if count >= 2 else (np.zeros(0), 0.0)
         want = c * (a0 * v[0] + np.r_[0.0, inner] + v[1:])
@@ -367,7 +370,7 @@ class TestLaggedSum:
         rng = np.random.default_rng(capacity)
         if kind == "two weight rows":  # the fode predictor and corrector rows
             def weights(m):
-                return np.stack((frac_ops._power_increments(0.37, m), frac_ops._pt_weights(0.37, m)[0]))
+                return np.stack((frac_ops._power_increments(0.37, m), frac_ops._pt_weights(0.37, m)))
             g, shape = rng.random(capacity), ()
         elif kind == "rows":  # the pde L1 weights on rows of slice differences
             def weights(m):
@@ -404,7 +407,26 @@ class TestLaggedSum:
         memory = frac_ops.LaggedSum(weights, capacity)
         for _ in range(appends):
             memory.append(1.0)
-        assert max(asked) == longest
+        # one table serves every level reached: fourfold growth starts at
+        # 1024 lags and stops at 2 * capacity
+        assert asked == [min(1024, 2 * capacity)]
+        # the spectrum of the largest level L reached reads lags up to 2L - 1
+        assert 2 * (memory._spectra[-1].shape[1] - 1) - 1 == longest
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_buffers_grow_with_the_history_not_the_capacity(self, rows):
+        # doubling from B rows: 4B entries hold 8B rows, the far sums of the
+        # targets the 4B block reaches; the capacity is only an upper limit
+        def weights(m):
+            table = frac_ops._power_increments(0.5, m)
+            return np.stack([table] * rows) if rows > 1 else table
+
+        memory = frac_ops.LaggedSum(weights, 10 ** 9)
+        for _ in range(4 * B):
+            memory.append(1.0)
+        assert len(memory._history) <= 8 * B and len(memory._far) <= 8 * B
+        want, _ = _direct_lagged_sum(weights(4 * B), np.ones(4 * B), 4 * B)
+        assert np.allclose(memory.value(), want, rtol=1e-13, atol=0.0)
 
 
 class TestWeightTables:
@@ -428,14 +450,8 @@ class TestWeightTables:
         assert np.max(np.abs(table[self.NS] - want) / want) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 1.0])
-    def test_left_boundary_weights_match_mpmath(self, alpha):
-        got = frac_ops._pt_weights(alpha, self.N_MAX)[1][np.array(self.NS) - 1]
-        want = self._closed_form(alpha, lambda a, n: (n - 1) ** (a + 1) - n ** a * (n - a - 1))
-        assert np.max(np.abs(got - want) / want) <= 1e-14
-
-    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 1.0])
     def test_interior_weights_match_mpmath(self, alpha):
-        got = frac_ops._pt_weights(alpha, self.N_MAX)[0][np.array(self.NS) - 1]
+        got = frac_ops._pt_weights(alpha, self.N_MAX)[np.array(self.NS) - 1]
         want = self._closed_form(alpha, lambda a, k: (k + 1) ** (a + 1) + (k - 1) ** (a + 1) - 2 * k ** (a + 1))
         assert np.max(np.abs(got - want) / want) <= 1e-14
 
