@@ -308,7 +308,10 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     horizon, sweeps = config_seed.horizon, config_seed.corrector_sweeps
     steps = [config_seed.step / 2.0 ** i for i in range(refinements + 1)]
     seed = config_seed.escape_threshold
-    thresholds = [seed * THRESHOLD_GROWTH ** i for i in range(THRESHOLD_LEVELS)]
+    try:
+        thresholds = [seed * THRESHOLD_GROWTH ** i for i in range(THRESHOLD_LEVELS)]
+    except OverflowError:  # the power itself left the float range
+        thresholds = [math.inf]
     if not math.isfinite(thresholds[-1]):
         raise ValueError(
             f"the top ladder threshold overflows: escape_threshold {seed:g} * "

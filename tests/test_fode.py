@@ -402,8 +402,20 @@ class TestBlowupEstimate:
         with pytest.raises(ValueError, match="must exceed"):
             estimate_blowup(FractionalOrder(0.5), SolverConfig(1e-3, 1.7, escape_threshold=0.5))
 
-    def test_overflowing_top_threshold_names_the_ladder(self, capsys):
-        # the top rung 1e305 * 100 ** 2 overflows to inf
+    @pytest.mark.parametrize("growth, levels", [(1e10, 2), (100.0, 400)])
+    def test_overflowing_top_threshold_names_the_ladder(self, monkeypatch, growth, levels):
+        # 1e300 * 1e10 overflows to inf; 100.0 ** 399 raises OverflowError
+        monkeypatch.setattr(fode, "THRESHOLD_GROWTH", growth)
+        monkeypatch.setattr(fode, "THRESHOLD_LEVELS", levels)
+        seed = SolverConfig(1e-3, 1.7, escape_threshold=1e300)
+        with pytest.raises(ValueError) as err:
+            estimate_blowup(FractionalOrder(0.5), seed)
+        message = str(err.value)
+        assert "escape_threshold 1e+300" in message
+        assert f"{growth:g} ** {levels - 1} is not finite" in message
+
+    def test_overflowing_seed_threshold_is_refused(self, capsys):
+        # the top rung 1e305 * 100 ** 2 of the default ladder overflows to inf
         seed = SolverConfig(1e-3, 1.7, escape_threshold=1e305)
         with pytest.raises(ValueError, match=r"escape_threshold 1e\+305 \* 100 \*\* 2 is not finite"):
             estimate_blowup(FractionalOrder(0.5), seed)
