@@ -14,11 +14,11 @@ outside the theoretical sandwich), 4 no blow-up detected below the horizon.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 import time as _time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +40,40 @@ from .frac_ops import (
 DEFAULT_DELTA = 0.5  # documented arbitrary default for the lower-bound report
 DEFAULT_IMPULSE_ALPHAS = "0.1,0.25,0.5,0.75,0.875,0.9,0.99,1"
 DEFAULT_IMPULSE_TIMES = "1,2,3,4"
+_ROWS_PER_WRITE = 4096  # CSV rows formatted and written at a time
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cells(column) -> list[str]:
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _lines(*cells) -> str:
+    """CSV lines of one or more rows, each ended by a newline."""
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write the header line, then one line per row of the float `columns`.
+
+    `columns` holds one 1-D array per header name. A long-format product
+    passes (times, x, field) with field of shape (len(times), len(x)) and gets
+    one line per (t, x) pair, written one time slice at a time.
+
+    Every cell is repr of a Python float, the shortest string that round-trips;
+    each value, time and node is formatted once. No cell (nor header label)
+    holds a comma, quote or newline, so nothing is quoted and the bytes are
+    those of csv.writer with LF line ends.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        if np.ndim(columns[-1]) == 2:
+            times, x, field = columns
+            x_cells = _cells(x)
+            for t, row in zip(_cells(times), field):
+                fh.write(_lines(repeat(t), x_cells, _cells(row)))
+        else:
+            for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
+                fh.write(_lines(*(_cells(c[lo : lo + _ROWS_PER_WRITE]) for c in columns)))
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
@@ -73,12 +95,12 @@ def _manifest(args: argparse.Namespace, grids: dict, outputs: list[str], t0: flo
     }
 
 
-def _write_product(args: argparse.Namespace, header: list[str], rows, grids: dict, t0: float, **status) -> int:
+def _write_product(args: argparse.Namespace, header: list[str], columns, grids: dict, t0: float, **status) -> int:
     """Write <subcommand>.csv and <subcommand>_manifest.json into --out."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{args.subcommand}.csv"
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, header, columns)
     manifest = _manifest(args, grids, [str(csv_path)], t0)
     manifest.update(status)
     _write_manifest(out / f"{args.subcommand}_manifest.json", manifest)
@@ -119,7 +141,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         traj = _fode.solve(_fode.Nonlinearity.square(), args.v0, order, config)
     grids = {"time": {"step": config.step, "count": traj.samples.grid.count}}
     return _write_product(
-        args, ["t", "v"], zip(traj.times, traj.values), grids, t0,
+        args, ["t", "v"], (traj.times, traj.values), grids, t0,
         status=traj.status, escape_time=traj.escape_time,
     )
 
@@ -159,9 +181,8 @@ def _cmd_impulse(args: argparse.Namespace) -> int:
     count = max(1, int(round(args.t_max / args.h)))
     grid = TimeGrid(args.h, count)
     table = _impulse.impulse_table(train, alphas, grid)
-    rows = ([t] + list(table.values[i]) for i, t in enumerate(table.times))
     grids = {"time": {"step": grid.step, "count": grid.count}}
-    return _write_product(args, ["t"] + table.column_labels, rows, grids, t0)
+    return _write_product(args, ["t"] + table.column_labels, (table.times, *table.values.T), grids, t0)
 
 
 def _read_sampled_csv(path: str) -> SampledFunction:
@@ -201,7 +222,7 @@ def _cmd_caputo(args: argparse.Namespace) -> int:
     else:
         result = caputo_left(f, order)
     grids = {"time": {"step": f.grid.step, "count": f.grid.count}}
-    return _write_product(args, ["t", "caputo"], zip(result.times, result.values), grids, t0)
+    return _write_product(args, ["t", "caputo"], (result.times, result.values), grids, t0)
 
 
 def _parse_initial(kind: str, form: str, x: np.ndarray) -> np.ndarray:
@@ -249,17 +270,12 @@ def _cmd_pde(args: argparse.Namespace) -> int:
     else:
         fieldhist = _pde.solve_rho(initial, order, spatial, tgrid, bc, escape_threshold=args.threshold)
 
-    def rows():
-        for i, t in enumerate(fieldhist.times):
-            for j, xx in enumerate(fieldhist.x):
-                yield (t, xx, fieldhist.slices[i, j])
-
     grids = {
         "time": {"step": tgrid.step, "count": fieldhist.time.count},
         "space": {"x_min": spatial.x_min, "x_max": spatial.x_max, "cells": spatial.cells},
     }
     return _write_product(
-        args, ["t", "x", "value"], rows(), grids, t0,
+        args, ["t", "x", "value"], (fieldhist.times, fieldhist.x, fieldhist.slices), grids, t0,
         status=fieldhist.status, escape_index=fieldhist.escape_index,
     )
 

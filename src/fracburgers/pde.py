@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 
+_RESERVED_BYTES = 2**26  # slice rows allocated up front; a page costs memory once a row fills it
+
+
 class CflError(RuntimeError):
     """CFL restriction violated; names the first offending (node, step)."""
 
@@ -190,15 +193,18 @@ def _march(
 
     # L1 weights b_1..b_m on the past slice differences u^(n-k) - u^(n-k-1)
     memory = LaggedSum(lambda m: _power_increments(1.0 - alpha, m + 1)[1:], n_steps, x.shape)
-    slices = np.empty((n_steps + 1, x.size))
+    # the retained slices: up to _RESERVED_BYTES of rows up front, doubled in
+    # place when the march fills them (up to n_steps + 1 rows) and shrunk in
+    # place to the slices kept, so nothing scales with horizon / step; no view
+    # of the rows (`prev`) is used after a resize
+    slices = np.empty((min(n_steps, max(1, _RESERVED_BYTES // (8 * x.size))) + 1, x.size))
     slices[0] = u0
 
     def finish(last: int, status: str, escape_index: int | None) -> FieldHistory:
         if last < 1:
             raise ValueError("first marching step produced a non-finite slice")
-        return FieldHistory(
-            spatial, TimeGrid(h, last), x, slices[: last + 1].copy(), order, status, escape_index
-        )
+        slices.resize((last + 1, x.size), refcheck=False)
+        return FieldHistory(spatial, TimeGrid(h, last), x, slices, order, status, escape_index)
 
     for n in range(1, n_steps + 1):
         prev = slices[n - 1]
@@ -224,8 +230,10 @@ def _march(
 
         if not np.all(np.isfinite(new)):
             return finish(n - 1, "escaped", n)
-        slices[n] = new
         memory.append(new - prev)
+        if n == len(slices):
+            slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
+        slices[n] = new
         if float(np.max(np.abs(new))) > escape_threshold:
             return finish(n, "escaped", n)
     return finish(n_steps, "completed", None)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracburgers import gamma
+from fracburgers import cli, gamma
 from fracburgers.cli import _read_sampled_csv, main
 
 
@@ -26,6 +26,77 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+def reference_write_csv(path, header, columns):
+    """csv.writer over the rows of `columns`, one repr(float(v)) per cell; a
+    (times, x, field) long-format product gives one row per (t, x) pair."""
+    if np.ndim(columns[-1]) == 2:
+        times, x, field = columns
+        rows = ((t, xx, field[i, j]) for i, t in enumerate(times) for j, xx in enumerate(x))
+    else:
+        rows = zip(*columns)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 123.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, 1 / 3, -2.5e-310]
+
+README_PRODUCTS = [
+    ["solve", "--alpha", "0.5", "--h", "1e-4", "--t-max", "1.0"],
+    ["solve", "--alpha", "0.5", "--h", "1e-4", "--t-max", "5", "--cap", "4"],
+    ["impulse"],
+    ["caputo", "--alpha", "0.5", "--input", "solve.csv"],
+    ["pde", "--form", "u", "--alpha", "0.5", "--cells", "100", "--h", "1e-5", "--t-max", "0.002",
+     "--bc", "dirichlet", "--initial", "minus-x"],
+    ["pde", "--form", "rho", "--alpha", "0.5", "--cells", "64", "--h", "3e-4", "--t-max", "0.06",
+     "--bc", "periodic", "--initial", "market-critical"],
+]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows_per_write", [1, 5, 4096])
+    def test_columns_match_reference_writer(self, tmp_path, monkeypatch, rows_per_write):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        a = np.array(SPECIAL_FLOATS)
+        columns = (np.arange(a.size) * 0.1, a, a[::-1].copy(), -a)
+        header = ["t", "alpha=0.5", "alpha=1", "value"]
+        cli._write_csv(tmp_path / "new.csv", header, columns)
+        reference_write_csv(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_long_format_matches_reference_writer(self, tmp_path):
+        a = np.array(SPECIAL_FLOATS)
+        with np.errstate(invalid="ignore"):  # nan and inf products
+            columns = (a[:5], a, a[:5, None] * a[None, :])
+        cli._write_csv(tmp_path / "new.csv", ["t", "x", "value"], columns)
+        reference_write_csv(tmp_path / "ref.csv", ["t", "x", "value"], columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_header_only_when_no_rows(self, tmp_path):
+        cli._write_csv(tmp_path / "new.csv", ["t", "v"], (np.empty(0), np.empty(0)))
+        assert (tmp_path / "new.csv").read_bytes() == b"t,v\n"
+
+    @pytest.mark.parametrize("argv", README_PRODUCTS, ids=["solve", "solve-capped", "impulse", "caputo", "pde-u", "pde-rho"])
+    def test_readme_products_match_reference_writer(self, tmp_path, monkeypatch, argv):
+        written = []
+        write_csv = cli._write_csv
+
+        def capture(path, header, columns):
+            written.append((header, columns))
+            write_csv(path, header, columns)
+
+        if argv[0] == "caputo":
+            assert main(README_PRODUCTS[1] + ["--out", str(tmp_path)]) == 0
+            argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        monkeypatch.setattr(cli, "_write_csv", capture)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        [(header, columns)] = written
+        reference_write_csv(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / f"{argv[0]}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestBounds:
@@ -228,6 +299,21 @@ class TestPde:
             "--initial", "minus-x", "--out", str(tmp_path),
         ])
         assert rc == 3
+
+    def test_escape_at_the_first_step_of_a_long_horizon(self, tmp_path):
+        # 1e12 steps to the horizon: only the slices marched may be held
+        rc = main([
+            "pde", "--form", "u", "--alpha", "0.5", "--cells", "64", "--h", "1e-12",
+            "--t-max", "1", "--bc", "periodic", "--initial", "constant:2",
+            "--threshold", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "pde_manifest.json").read_text())
+        assert manifest["status"] == "escaped"
+        assert manifest["escape_index"] == 1
+        _, data = read_csv(tmp_path / "pde.csv")
+        assert np.unique(data[:, 0]).tolist() == [0.0, 1e-12]
+        assert data.shape == (2 * 64, 3)
 
     def test_unknown_initial_exits_2(self, tmp_path):
         rc = main([

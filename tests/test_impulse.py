@@ -3,6 +3,8 @@ sampled table used by the CLI dataset."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracburgers import (
     FractionalOrder,
@@ -120,3 +122,27 @@ class TestTable:
             impulse_table(CAPTION_TRAIN, [0.5, 1.5], TimeGrid(0.01, 100))
         with pytest.raises(ValueError):
             impulse_table(CAPTION_TRAIN, [], TimeGrid(0.01, 100))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    step=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+    count=st.integers(1, 120),
+    slots=st.lists(st.integers(1, 130), min_size=1, max_size=40, unique=True),
+    offsets=st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.7, 0.95]), min_size=40, max_size=40),
+    alphas=st.lists(st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0), min_size=1, max_size=5),
+)
+def test_table_equals_pointwise_closed_forms(step, count, slots, offsets, alphas):
+    # impulses at grid nodes (offset 0, shifted past by the table) or between
+    # them, some beyond the last node; every order's column must equal the
+    # per-node closed form bit for bit
+    times = sorted((k + off) * step for k, off in zip(slots, offsets))
+    train = ImpulseTrain(np.array(times))
+    table = impulse_table(train, alphas, TimeGrid(step, count))
+    assert table.values.shape == (count + 1, len(alphas))
+    for j, a in enumerate(table.alphas):
+        if a == 1.0:
+            expected = [step_solution(train, t) for t in table.times]
+        else:
+            expected = [fractional_impulse_solution(train, FractionalOrder(a), t) for t in table.times]
+        assert np.array_equal(table.values[:, j], expected)

