@@ -63,14 +63,13 @@ from .pde import (
     solve_u,
     u_to_rho,
 )
-from .specfun import digamma, euler_mascheroni, gamma, log_gamma
+from .specfun import euler_mascheroni, gamma, log_gamma
 
 __all__ = [
     "__version__",
     # specfun
     "gamma",
     "log_gamma",
-    "digamma",
     "euler_mascheroni",
     # frac_ops
     "FractionalOrder",

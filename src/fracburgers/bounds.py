@@ -45,11 +45,9 @@ def upper_bound_b(order: FractionalOrder) -> float:
     """Upper bound (1/Gamma(2-alpha))^(1/alpha) on the blow-up time.
 
     Returns exactly 1.0 at alpha = 1 (the classical blow-up time for a
-    unitary initial slope).
+    unitary initial slope), since log Gamma(1) = 0 exactly.
     """
     a = order.alpha
-    if a == 1.0:
-        return 1.0
     # exp(-log(Gamma(2-a))/a) keeps full precision for small alpha, where the
     # 1/alpha exponent amplifies any error in the Gamma value.
     return math.exp(-log_gamma(2.0 - a) / a)

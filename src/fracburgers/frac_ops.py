@@ -34,13 +34,13 @@ fixed-shape arrays, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
-from .specfun import gamma
+from .specfun import gamma, log_gamma
 
 __all__ = [
     "FractionalOrder",
@@ -286,8 +286,9 @@ class LaggedSum:
 def _causal_convolution(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The first n = len(g) entries of the full convolution of g with w[:n].
 
-    Entry m is sum_{k=0}^{m} w_k g_{m-k}. One real FFT pair, zero-padded to
-    at least 2n - 1 points so that nothing wraps around, gives the whole
+    Entry m is sum_{k=0}^{m} w_k g_{m-k}. One ``numpy.fft`` real FFT pair,
+    zero-padded to the first power of two >= 2n - 1 (as in the
+    :class:`LaggedSum` blocks) so that nothing wraps around, gives the whole
     discrete convolution; its roundoff is normwise, a few ulps of
     max_m sum_k |w_k| |g_{m-k}| (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sec. 24.1), not entry by entry. It shares no
@@ -296,8 +297,8 @@ def _causal_convolution(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     no other value.
     """
     n = len(g)
-    size = next_fast_len(2 * n - 1, real=True)
-    out = irfft(rfft(g, size) * rfft(w[:n], size), size)[:n]
+    size = 1 << (2 * n - 2).bit_length()
+    out = np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(w[:n], size), size)[:n]
     out += 0.0
     return out
 
@@ -366,6 +367,11 @@ class PowerTestFunction:
         object.__setattr__(self, "horizon", float(self.horizon))
 
 
+def _gamma_ratio(x: float, y: float) -> float:
+    """Gamma(x)/Gamma(y) in log space: both overflow from x = 171.62 on, the ratio need not."""
+    return math.exp(log_gamma(x) - log_gamma(y))
+
+
 def rl_right_derivative_phi(phi: PowerTestFunction, order: FractionalOrder, t: float) -> float:
     """Right Riemann-Liouville derivative of the power test function at t < T.
 
@@ -380,7 +386,7 @@ def rl_right_derivative_phi(phi: PowerTestFunction, order: FractionalOrder, t: f
     if t < 0.0 or t >= T:
         raise ValueError(f"t must lie in [0, T), got t={t} with T={T}")
     a = order.alpha
-    return gamma(lam + 1.0) / gamma(lam + 1.0 - a) * T ** (-a) * (1.0 - t / T) ** (lam - a)
+    return _gamma_ratio(lam + 1.0, lam + 1.0 - a) * T ** (-a) * (1.0 - t / T) ** (lam - a)
 
 
 def phi_test_integrals(phi: PowerTestFunction, order: FractionalOrder) -> tuple[float, float]:
@@ -401,6 +407,6 @@ def phi_test_integrals(phi: PowerTestFunction, order: FractionalOrder) -> tuple[
     if order.is_classical:
         raise ValueError("test-function integrals require alpha in (0, 1)")
     lam, T, a = phi.exponent, phi.horizon, order.alpha
-    i1 = gamma(lam + 1.0) / gamma(lam + 2.0 - a) * T ** (1.0 - a)
-    i2 = (gamma(lam + 1.0) / gamma(lam + 1.0 - a)) ** 2 * T ** (1.0 - 2.0 * a) / (lam + 1.0 - 2.0 * a)
+    i1 = _gamma_ratio(lam + 1.0, lam + 2.0 - a) * T ** (1.0 - a)
+    i2 = _gamma_ratio(lam + 1.0, lam + 1.0 - a) ** 2 * T ** (1.0 - 2.0 * a) / (lam + 1.0 - 2.0 * a)
     return i1, i2

@@ -88,9 +88,10 @@ class ImpulseTable:
 def impulse_table(train: ImpulseTrain, alphas: list[float], grid: TimeGrid) -> ImpulseTable:
     """Sample the impulse solutions on a grid, one column per order.
 
-    alpha = 1 columns hold the step count; fractional columns hold the
-    kernel-tail sum. Grid nodes that land on an impulse time (where the
-    fractional solutions diverge) are shifted forward by half a step.
+    Each column holds the kernel-tail sum, which at alpha = 1 (tails
+    (t - p)^0 / Gamma(1) = 1) is exactly the step count. Grid nodes that land
+    on an impulse time (where the fractional solutions diverge) are shifted
+    forward by half a step.
 
     The grid increases and the impulses are sorted, so the grid splits into
     runs of nodes with the same past: in run m exactly the first m impulses
@@ -122,12 +123,9 @@ def impulse_table(train: ImpulseTrain, alphas: list[float], grid: TimeGrid) -> I
     edges = np.concatenate(([0], np.searchsorted(times, impulses, side="right"), [times.size]))
     values = np.zeros((times.size, len(orders)))
     for j, a in enumerate(orders):
-        if a == 1.0:
-            values[:, j] = np.repeat(np.arange(impulses.size + 1), np.diff(edges))
-        else:
-            scale = gamma(a)
-            for m in range(1, impulses.size + 1):
-                lo, hi = edges[m], edges[m + 1]
-                tails = (times[lo:hi, None] - impulses[None, :m]) ** (a - 1.0)
-                values[lo:hi, j] = tails.sum(axis=1) / scale
+        scale = gamma(a)
+        for m in range(1, impulses.size + 1):
+            lo, hi = edges[m], edges[m + 1]
+            tails = (times[lo:hi, None] - impulses[None, :m]) ** (a - 1.0)
+            values[lo:hi, j] = tails.sum(axis=1) / scale
     return ImpulseTable(times, tuple(orders), values)

@@ -2,6 +2,7 @@
 consistency of the two lower-bound expressions, envelope behavior, and the
 monotonicity/limit laws of the upper bound."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -40,6 +41,15 @@ class TestUpperBound:
 
     def test_near_classical(self):
         assert 1.0 < upper_bound_b(FO(0.999)) < 1.001
+
+    def test_accuracy_contract(self):
+        # relative error <= 2e-13 against mpmath over the orders the lower
+        # bound accepts, alpha in [0.0075, 1]
+        alphas = np.concatenate((np.linspace(0.0075, 1.0, 200), np.random.default_rng(9).uniform(0.0075, 1.0, 200)))
+        with mp.workdps(40):
+            for a in alphas:
+                exact = mp.gamma(2 - mp.mpf(a)) ** (-1 / mp.mpf(a))
+                assert abs(upper_bound_b(FO(a)) / exact - 1) <= 2e-13
 
     def test_small_order_approaches_limit(self):
         # the 1/alpha exponent amplifies the ~2e-16 absolute error of

@@ -512,6 +512,22 @@ def _quadrature_integrals(phi, order):
 
 
 class TestPhiIntegrals:
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("lam", [171.0, 200.0, 1000.0])
+    def test_large_exponents_stay_finite(self, lam, alpha):
+        # Gamma(lam + 1) overflows from lam = 171 on; the ratios do not
+        phi, order = PowerTestFunction(lam, 1.0), FractionalOrder(alpha)
+        i1, i2 = phi_test_integrals(phi, order)
+        with mp.workdps(40):
+            L, A = mp.mpf(lam), mp.mpf(alpha)
+            c = mp.gamma(L + 1) / mp.gamma(L + 1 - A)
+            for got, exact in (
+                (i1, mp.gamma(L + 1) / mp.gamma(L + 2 - A)),
+                (i2, c**2 / (L + 1 - 2 * A)),
+                (rl_right_derivative_phi(phi, order, 0.25), c * mp.mpf(0.75) ** (L - A)),
+            ):
+                assert abs(got / exact - 1) <= 1e-10
+
     def test_frozen_values(self):
         # the printed closed forms sit 18% and 39% above these values
         phi = PowerTestFunction(2.0, 1.0)
