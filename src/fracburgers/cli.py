@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time as _time
 from itertools import repeat
@@ -114,6 +115,14 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise ValueError(f"{flag} expects a comma-separated float list, got {text!r}") from exc
 
 
+def _step_count(h: float, t_max: float) -> int:
+    """Steps of size --h up to --t-max; both must be finite and > 0."""
+    for flag, value in (("--h", h), ("--t-max", t_max)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
+    return max(1, int(round(t_max / h)))
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     t0 = _time.perf_counter()
     order = FractionalOrder(args.alpha)
@@ -178,7 +187,7 @@ def _cmd_impulse(args: argparse.Namespace) -> int:
     alphas = _parse_float_list(args.alphas, "--alphas")
     times = _parse_float_list(args.times, "--times")
     train = _impulse.ImpulseTrain(np.array(times))
-    count = max(1, int(round(args.t_max / args.h)))
+    count = _step_count(args.h, args.t_max)
     grid = TimeGrid(args.h, count)
     table = _impulse.impulse_table(train, alphas, grid)
     grids = {"time": {"step": grid.step, "count": grid.count}}
@@ -239,7 +248,7 @@ def _cmd_pde(args: argparse.Namespace) -> int:
     t0 = _time.perf_counter()
     order = FractionalOrder(args.alpha)
     spatial = _pde.SpatialGrid(args.x_min, args.x_max, args.cells)
-    count = max(1, int(round(args.t_max / args.h)))
+    count = _step_count(args.h, args.t_max)
     tgrid = TimeGrid(args.h, count)
     x = spatial.nodes(args.bc == "periodic")
     initial = _parse_initial(args.initial, args.form, x)

@@ -211,14 +211,14 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
     h = config.step
     n_steps = config.n_steps
     threshold = config.escape_threshold
-    sweeps = config.corrector_sweeps
+    sweeps = range(config.corrector_sweeps)
     c_pred = h ** alpha / gamma(alpha + 1.0)
     c_corr = h ** alpha / gamma(alpha + 2.0)
 
     # The history holds f(v_j) - f(v_0); f(v_0) enters target n + 1 through
     # the weight sums on constants, (n+1)^alpha and (alpha+1) (n+1)^alpha less
-    # the corrector's weight 1 on f(v_{n+1}). Python floats and the bound f.fn
-    # keep the per-step scalar work cheap.
+    # the corrector's weight 1 on f(v_{n+1}). The memory sums arrive as Python
+    # floats, and the bound methods below keep the per-step scalar work cheap.
     rhs = f.fn
     sums = LaggedSum(lambda m: np.stack((_power_increments(alpha, m), _pt_weights(alpha, m))), n_steps + 1)
     f0 = float(rhs(v0))
@@ -226,20 +226,21 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
     corr_f0 = (alpha + 1.0) * f0
     sums.append(0.0)
     values = [v0]
+    memory, remember, keep = sums.value, sums.append, values.append
     for n in range(n_steps):
-        pred, corr = sums.value().tolist()
+        pred, corr = memory()
         p = (n + 1.0) ** alpha
         vp = v0 + c_pred * pred + pred_f0 * p
         hist = corr + (corr_f0 * p - f0)
         vn = vp
-        for _ in range(sweeps):
+        for _ in sweeps:
             vn = v0 + c_corr * (hist + rhs(vn))
-        if not math.isfinite(vn):
+        if not abs(vn) <= threshold:  # past the finite threshold, or NaN: escaped
+            if math.isfinite(vn):  # a non-finite value is not kept
+                keep(vn)
             return _finish(values, h, n + 1)
-        values.append(vn)
-        if abs(vn) > threshold:
-            return _finish(values, h, n + 1)
-        sums.append(rhs(vn) - f0)
+        keep(vn)
+        remember(rhs(vn) - f0)
     return _finish(values, h, None)
 
 

@@ -35,6 +35,7 @@ fixed-shape arrays, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -190,7 +191,8 @@ class LaggedSum:
     for n < capacity, the sums a march reads before each append; the last
     entry is kept but feeds no sum. ``weights(m)`` returns
     w_1..w_m, either as one row or as several rows (shape (rows, m)); with
-    several rows, :meth:`value` returns one sum per row. An empty history sums
+    several rows, :meth:`value` returns one sum per row. A scalar history
+    sums to Python floats, a row history to an ndarray. An empty history sums
     to 0. Every marching scheme in the package takes its memory term from here.
 
     The sum is the full one, reordered exactly in dyadic blocks (Hairer,
@@ -213,23 +215,29 @@ class LaggedSum:
     far-sum buffers start at min(capacity, B) rows and double in place at a
     flush. With one weight row the far sums of future targets live in the
     history buffer's not-yet-written slots (slot n holds far[n] until g_n
-    overwrites it), so they cost no memory of their own.
+    overwrites it), so they cost no memory of their own. A scalar history also
+    copies the far sums of the current base block into one Python list at each
+    flush, so that :meth:`value` adds floats; a row history keeps the ndarray
+    add, which costs less than refreshing a list of rows at every flush.
     """
 
-    __slots__ = ("_weights", "_capacity", "_table", "_near", "_spectra", "_history", "_far", "_size")
+    __slots__ = ("_weights", "_capacity", "_table", "_near", "_spectra", "_history", "_far", "_far_block", "_size")
 
     def __init__(self, weights: Callable[[int], np.ndarray], capacity: int, shape: tuple[int, ...] = ()):
         self._weights = weights
         self._capacity = capacity
         self._table = np.empty(0)
         near = np.ascontiguousarray(self._lags(_BLOCK - 1)[..., ::-1])  # w_{B-1}..w_1
-        # the near part of s_n dots the last r = n mod B of these with g_{n-r}..g_{n-1}
-        self._near = [near[..., _BLOCK - 1 - r :] for r in range(_BLOCK)]
+        # the near part of s_n dots the last r = n mod B of these with g_{n-r}..g_{n-1};
+        # each is C-contiguous (a copy for several weight rows), which keeps the dot cheap
+        self._near = [np.ascontiguousarray(near[..., _BLOCK - 1 - r :]) for r in range(_BLOCK)]
         self._spectra: list[np.ndarray] = []
         rows = min(capacity, _BLOCK)
         self._history = np.zeros((rows, *shape))
         weight_rows = near.shape[:-1]
         self._far = np.zeros((rows, *weight_rows, *shape)) if weight_rows else self._history
+        # scalar histories: the far sums of the current base block as Python floats
+        self._far_block = None if shape else self._far[:_BLOCK].tolist()
         self._size = 0
 
     def _lags(self, count: int) -> np.ndarray:
@@ -245,12 +253,26 @@ class LaggedSum:
         self._size = s = s + 1
         if s % _BLOCK == 0:
             self._flush(s)
+            if self._far_block is not None:  # targets s..s+B-1 receive no later block
+                self._far_block = self._far[s : s + _BLOCK].tolist()
 
     def value(self):
-        """s_n for the n entries appended so far."""
+        """s_n for the n entries appended so far.
+
+        A row history gives an ndarray, one sum per weight row and history
+        column. A scalar history gives Python floats: one float for one
+        weight row, a list of one float per row for several. Each is the far
+        sum plus the near dot, the same IEEE addition an ndarray add makes,
+        so the float sums carry the bits of the ndarray ones.
+        """
         s = self._size
         r = s % _BLOCK
-        return self._far[s] + np.dot(self._near[r], self._history[s - r : s])
+        near = self._near[r].dot(self._history[s - r : s])
+        if self._far_block is None:
+            return self._far[s] + near
+        if near.ndim:
+            return list(map(operator.add, self._far_block[r], near.tolist()))
+        return self._far_block[r] + near.tolist()
 
     def _flush(self, s: int) -> None:
         """Add the block of L entries ending at s to the far sums of targets s..s+L-1."""
@@ -283,12 +305,30 @@ class LaggedSum:
                 far[:, row, c : c + chunk] += tail[size - 1 : size - 1 + count]
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 5-smooth integer 2^i 3^j 5^k >= n, for n >= 1.
+
+    For each 3^j 5^k below the best length so far, the smallest power-of-two
+    multiple of it that reaches n is a candidate.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _causal_convolution(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The first n = len(g) entries of the full convolution of g with w[:n].
 
     Entry m is sum_{k=0}^{m} w_k g_{m-k}. One ``numpy.fft`` real FFT pair,
-    zero-padded to the first power of two >= 2n - 1 (as in the
-    :class:`LaggedSum` blocks) so that nothing wraps around, gives the whole
+    zero-padded to the smallest 5-smooth length >= 2n - 1
+    (:func:`_smooth_length`; the :class:`LaggedSum` blocks keep powers of two)
+    so that nothing wraps around, gives the whole
     discrete convolution; its roundoff is normwise, a few ulps of
     max_m sum_k |w_k| |g_{m-k}| (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sec. 24.1), not entry by entry. It shares no
@@ -297,7 +337,7 @@ def _causal_convolution(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     no other value.
     """
     n = len(g)
-    size = 1 << (2 * n - 2).bit_length()
+    size = _smooth_length(2 * n - 1)
     out = np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(w[:n], size), size)[:n]
     out += 0.0
     return out

@@ -21,6 +21,7 @@ the current slice; a violation is an error, not a warning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -209,10 +210,9 @@ def _march(
     for n in range(1, n_steps + 1):
         prev = slices[n - 1]
         speeds = speed(prev)
-        node_max = int(np.argmax(speeds))
-        ratio = cfl_scale * float(speeds[node_max])
+        ratio = cfl_scale * float(speeds.max())
         if ratio > 0.5 + 1e-12:
-            raise CflError(node_max, n, ratio)
+            raise CflError(int(np.argmax(speeds)), n, ratio)
 
         hist = memory.value()
         if periodic:
@@ -228,13 +228,14 @@ def _march(
             new[-1] = bc.callback(spatial.x_max, t_n)
             new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
 
-        if not np.all(np.isfinite(new)):
+        peak = float(np.abs(new).max())  # NaN and inf carry through the max
+        if not math.isfinite(peak):
             return finish(n - 1, "escaped", n)
         memory.append(new - prev)
         if n == len(slices):
             slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
         slices[n] = new
-        if float(np.max(np.abs(new))) > escape_threshold:
+        if peak > escape_threshold:
             return finish(n, "escaped", n)
     return finish(n_steps, "completed", None)
 

@@ -324,6 +324,18 @@ class TestPde:
         assert rc == 2
 
 
+# "--h=-1e-3": argparse reads a bare "-1e-3" as an option, not a number
+@pytest.mark.parametrize("bad", [["--h", "0"], ["--h=-1e-3"], ["--t-max", "inf"]])
+@pytest.mark.parametrize("command", [
+    ["impulse"],
+    ["pde", "--form", "u", "--alpha", "0.5", "--cells", "16", "--bc", "periodic", "--initial", "constant:1"],
+])
+def test_nonpositive_or_infinite_step_and_horizon_exit_2(tmp_path, capsys, command, bad):
+    rc = main(command + ["--h", "1e-3", "--t-max", "0.01"] + bad + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad[0].split('=')[0]} must be finite and > 0")
+
+
 @pytest.mark.parametrize("argv, keys", [
     (["bounds", "--alpha", "0.5"], ["alpha", "delta"]),
     (["blowup", "--alpha", "1"], ["alpha", "threshold", "refinements", "step", "horizon", "delta"]),

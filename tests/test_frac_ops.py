@@ -1,6 +1,7 @@
 """Discrete fractional operators: exactness contracts, closed-form spot
 values frozen from pre-build oracles, and structural properties."""
 
+import bisect
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -305,6 +306,13 @@ class TestBatchConvolution:
             assert got.shape == (n,)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(magnitude)
 
+    def test_padding_is_the_smallest_5_smooth_length(self):
+        # every length 2n - 1 up to n = 5000 against a brute-force list of 2^i 3^j 5^k
+        smooth = sorted({2**i * 3**j * 5**k for i in range(15) for j in range(10) for k in range(7)})
+        lengths = range(1, 2 * 5000)
+        want = [smooth[bisect.bisect_left(smooth, m)] for m in lengths]
+        assert [frac_ops._smooth_length(m) for m in lengths] == want
+
     def test_uses_only_the_first_n_weights(self):
         g, w = np.arange(1.0, 6.0), _table("l1", 0.3, 9)
         np.testing.assert_array_equal(frac_ops._causal_convolution(g, w), frac_ops._causal_convolution(g, w[:5]))
@@ -382,11 +390,21 @@ class TestLaggedSum:
             g, shape = rng.random(capacity), ()
         table = weights(capacity)
         memory = frac_ops.LaggedSum(weights, capacity + 1, shape)  # s_n for n <= capacity
-        assert np.all(memory.value() == 0.0)
+        assert np.all(np.asarray(memory.value()) == 0.0)
         for n in range(1, capacity + 1):
             memory.append(g[n - 1])
             got = memory.value()
             want, scale = _direct_lagged_sum(table, g, n)
+            if kind == "rows":
+                assert isinstance(got, np.ndarray)
+            else:
+                # a scalar history sums to Python floats, one per weight row,
+                # with the bits of the far row plus the near dot as ndarrays
+                assert type(got) is float if kind == "scalar" else [type(x) for x in got] == [float, float]
+                r = n % B
+                bits = memory._far[n] + np.dot(memory._near[r], memory._history[n - r : n])
+                assert np.asarray(got).tobytes() == bits.tobytes()
+                got = np.asarray(got)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
 

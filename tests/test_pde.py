@@ -278,7 +278,7 @@ class TestSchemeGuards:
                 BoundaryRule.dirichlet(lambda x, t: -x),
             )
         assert err.value.step == 1
-        assert 0 <= err.value.node <= 200
+        assert err.value.node == 0  # the first of the two nodes of largest speed, x = -1 and x = 1
 
     def test_monotone_history_extrema(self):
         # under the CFL condition every explicit update is a monotone map of
@@ -307,6 +307,19 @@ class TestSchemeGuards:
         assert np.max(np.abs(field.slices[-1])) > 1.4
         assert np.max(np.abs(field.slices[:-1])) <= 1.4
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_slice_escapes_before_it(self, bad):
+        # the boundary value turns non-finite at step 5: the march keeps the
+        # finite slices 0..4 and points one past them
+        sp = SpatialGrid(-1, 1, 16)
+        field = solve_u(
+            np.zeros(17), FO(0.5), sp, TimeGrid(1e-3, 20),
+            BoundaryRule.dirichlet(lambda x, t: bad if t > 4.5e-3 else 0.0),
+        )
+        assert field.status == "escaped"
+        assert field.escape_index == field.time.count + 1 == 5
+        assert field.slices.shape == (5, 17)
+        assert np.all(np.isfinite(field.slices))
 
     @pytest.mark.parametrize("rows", [1, 3, 40])
     def test_slice_rows_grow_with_the_march(self, monkeypatch, rows):
