@@ -83,30 +83,35 @@ def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundCon
     T = 1/b - (1+eta)d and its closed form
     c_delta^((1-alpha)/alpha) / (Gamma(2-alpha)^(1/alpha) (1+delta))
     disagree beyond 1e-10 relative: they are provably equal, so disagreement
-    means the implementation is wrong. Also raises it for small alpha
-    (below about 0.0075 at delta = 0.5), where d underflows or a overflows
-    double precision: T is then below the smallest double.
+    means the implementation is wrong. Also raises it when a constant leaves
+    double precision: for small alpha (below about 0.0075 at delta = 0.5) d
+    underflows or a overflows, so T is below the smallest double; for a
+    delta far from 1 (1e-300 or 1e200, say) eta or c_delta over- or
+    underflows.
     """
     a = order.alpha
     delta = float(delta)
     if not np.isfinite(delta) or delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
 
-    kappa = math.sqrt(1.0 + delta) - 1.0
-    eta = (1.0 + kappa) ** 2 / kappa ** 2
+    # sqrt(1 + delta) - 1 without the cancellation of the subtraction
+    kappa = math.expm1(0.5 * math.log1p(delta))
     lg = log_gamma(2.0 - a)
     try:
+        eta = (1.0 + kappa) ** 2 / kappa ** 2
         d = math.exp(-(lg + math.log(kappa * eta * (1.0 + eta))) / a)
         const_a = math.exp(lg - (1.0 - a) * math.log(d))
-    except (ValueError, OverflowError) as exc:  # log(0) of an underflowed d, or exp overflow
+        c_delta = kappa ** 3 / ((1.0 + kappa) ** 2 * (1.0 + 2.0 * kappa + 2.0 * kappa ** 2))
+        T_closed = math.exp(((1.0 - a) / a) * math.log(c_delta) - lg / a) / (1.0 + delta)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        # log(0) of an underflowed d (T is then below the smallest double), or
+        # eta or c_delta out of range at an extreme delta
         raise ConsistencyError(
             f"lower-bound constants leave double precision (alpha={a}, delta={delta}): "
-            f"the horizon T is below the smallest double"
+            f"an intermediate constant over- or underflows"
         ) from exc
     const_b = (1.0 + kappa) * const_a
     T = 1.0 / const_b - (1.0 + eta) * d
-    c_delta = kappa ** 3 / ((1.0 + kappa) ** 2 * (1.0 + 2.0 * kappa + 2.0 * kappa ** 2))
-    T_closed = math.exp(((1.0 - a) / a) * math.log(c_delta) - lg / a) / (1.0 + delta)
     if not math.isfinite(T) or T <= 0.0:
         raise ConsistencyError(f"lower-bound horizon T = {T} is not positive")
     if abs(T - T_closed) > 1e-10 * abs(T_closed):

@@ -88,27 +88,31 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Grid and stopping rule of one scalar march.
+
+    The march takes `step`-sized steps up to `horizon` and stops early at the
+    first node with |v| > `escape_threshold`; the fractional corrector runs
+    `corrector_sweeps` times per step. `grid` is
+    ``TimeGrid.spanning(step, horizon)``: round(horizon / step) steps, at
+    least one, with step, horizon and their ratio finite and > 0. The step
+    may not exceed the horizon.
+    """
+
     step: float
     horizon: float
     escape_threshold: float = 1e6
     corrector_sweeps: int = 1
+    grid: TimeGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.step) or self.step <= 0.0:
-            raise ValueError(f"step must be > 0, got {self.step!r}")
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
-        if self.step >= self.horizon:
-            raise ValueError(f"step {self.step} must be smaller than horizon {self.horizon}")
+        object.__setattr__(self, "grid", TimeGrid.spanning(self.step, self.horizon))
+        if self.step > self.horizon:
+            raise ValueError(f"step {self.step} must not exceed horizon {self.horizon}")
         if not np.isfinite(self.escape_threshold) or self.escape_threshold <= 0.0:
             raise ValueError(f"escape_threshold must be > 0, got {self.escape_threshold!r}")
         if int(self.corrector_sweeps) != self.corrector_sweeps or self.corrector_sweeps < 0:
             raise ValueError(f"corrector_sweeps must be a nonnegative integer, got {self.corrector_sweeps!r}")
         object.__setattr__(self, "corrector_sweeps", int(self.corrector_sweeps))
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(round(self.horizon / self.step)))
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,7 @@ def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajec
     rhs = f.fn
     values = [v0]
     v = v0
-    for n in range(config.n_steps):
+    for n in range(config.grid.count):
         fv = rhs(v)
         vp = v + h * fv
         vn = v + 0.5 * h * (fv + rhs(vp))
@@ -209,7 +213,7 @@ def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajec
 def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig) -> Trajectory:
     alpha = order.alpha
     h = config.step
-    n_steps = config.n_steps
+    n_steps = config.grid.count
     threshold = config.escape_threshold
     sweeps = range(config.corrector_sweeps)
     c_pred = h ** alpha / gamma(alpha + 1.0)
@@ -307,7 +311,6 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
 
     f = Nonlinearity.square()
     horizon, sweeps = config_seed.horizon, config_seed.corrector_sweeps
-    steps = [config_seed.step / 2.0 ** i for i in range(refinements + 1)]
     seed = config_seed.escape_threshold
     try:
         thresholds = [seed * THRESHOLD_GROWTH ** i for i in range(THRESHOLD_LEVELS)]
@@ -318,12 +321,17 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
             f"the top ladder threshold overflows: escape_threshold {seed:g} * "
             f"{THRESHOLD_GROWTH:g} ** {THRESHOLD_LEVELS - 1} is not finite"
         )
-    for x in thresholds:
-        _validate(f, 1.0, SolverConfig(steps[0], horizon, x, sweeps))
+    _validate(f, 1.0, config_seed)  # the thresholds rise from the seed's
+    # every rung's grid is checked before the first march; ldexp halves the
+    # seed step exactly and underflows to a refused 0 where 2.0 ** i would
+    # overflow, so a huge `refinements` stops after about 1100 rungs
+    rungs = [SolverConfig(math.ldexp(config_seed.step, -i), horizon, thresholds[-1], sweeps)
+             for i in range(refinements + 1)]
 
     trace: list[tuple[float, float, float]] = []
-    for h in steps:
-        traj = solve(f, 1.0, order, SolverConfig(h, horizon, thresholds[-1], sweeps))
+    for rung in rungs:
+        h = rung.step
+        traj = solve(f, 1.0, order, rung)
         magnitude = np.abs(traj.values)
         for x in thresholds:
             above = np.flatnonzero(magnitude > x)
@@ -342,7 +350,7 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     # the finest and the next-coarser step, both at the largest threshold
     e_fine = trace[-1][2]
     e_prev = trace[-1 - THRESHOLD_LEVELS][2]
-    h_fine = steps[-1]
+    h_fine = rungs[-1].step
     t_hi = e_fine + h_fine
     correction = abs(e_prev - e_fine) + h_fine
     t_lo = max(e_fine - correction, 0.5 * h_fine)

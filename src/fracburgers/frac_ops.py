@@ -94,6 +94,22 @@ class TimeGrid:
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "count", int(self.count))
 
+    @classmethod
+    def spanning(cls, step: float, horizon: float) -> "TimeGrid":
+        """The grid of round(horizon / step) steps, at least one, of size `step`.
+
+        This is the step-count rule of every march. Raises ValueError unless
+        step, horizon and their ratio are all finite and step, horizon > 0.
+        A finite ratio is not capped: there is no step budget.
+        """
+        for name, value in (("step", step), ("horizon", horizon)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        ratio = horizon / step
+        if not math.isfinite(ratio):
+            raise ValueError(f"horizon / step must be finite, got {horizon!r} / {step!r}")
+        return cls(step, max(1, round(ratio)))
+
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.count + 1, dtype=float) * self.step

@@ -207,36 +207,39 @@ def _march(
         slices.resize((last + 1, x.size), refcheck=False)
         return FieldHistory(spatial, TimeGrid(h, last), x, slices, order, status, escape_index)
 
-    for n in range(1, n_steps + 1):
-        prev = slices[n - 1]
-        speeds = speed(prev)
-        ratio = cfl_scale * float(speeds.max())
-        if ratio > 0.5 + 1e-12:
-            raise CflError(int(np.argmax(speeds)), n, ratio)
+    # a slice that overflows ends the march below, as an escape or as the
+    # first-step error, so numpy's overflow warnings are not raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            prev = slices[n - 1]
+            speeds = speed(prev)
+            ratio = cfl_scale * float(speeds.max())
+            if ratio > 0.5 + 1e-12:
+                raise CflError(int(np.argmax(speeds)), n, ratio)
 
-        hist = memory.value()
-        if periodic:
-            # periodic neighbours by concatenation: np.roll costs several times more
-            f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])), flux, s_min)
-            div = (f_right - np.concatenate((f_right[-1:], f_right[:-1]))) / dx
-            new = prev - hist - dt_eff * div
-        else:
-            f_iface = _godunov_flux(prev[:-1], prev[1:], flux, s_min)
-            new = np.empty_like(prev)
-            t_n = n * h
-            new[0] = bc.callback(spatial.x_min, t_n)
-            new[-1] = bc.callback(spatial.x_max, t_n)
-            new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
+            hist = memory.value()
+            if periodic:
+                # periodic neighbours by concatenation: np.roll costs several times more
+                f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])), flux, s_min)
+                div = (f_right - np.concatenate((f_right[-1:], f_right[:-1]))) / dx
+                new = prev - hist - dt_eff * div
+            else:
+                f_iface = _godunov_flux(prev[:-1], prev[1:], flux, s_min)
+                new = np.empty_like(prev)
+                t_n = n * h
+                new[0] = bc.callback(spatial.x_min, t_n)
+                new[-1] = bc.callback(spatial.x_max, t_n)
+                new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
 
-        peak = float(np.abs(new).max())  # NaN and inf carry through the max
-        if not math.isfinite(peak):
-            return finish(n - 1, "escaped", n)
-        memory.append(new - prev)
-        if n == len(slices):
-            slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
-        slices[n] = new
-        if peak > escape_threshold:
-            return finish(n, "escaped", n)
+            peak = float(np.abs(new).max())  # NaN and inf carry through the max
+            if not math.isfinite(peak):
+                return finish(n - 1, "escaped", n)
+            memory.append(new - prev)
+            if n == len(slices):
+                slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
+            slices[n] = new
+            if peak > escape_threshold:
+                return finish(n, "escaped", n)
     return finish(n_steps, "completed", None)
 
 

@@ -142,6 +142,26 @@ class TestLowerBoundConstants:
         with pytest.raises(ConsistencyError, match="double precision"):
             lower_bound_constants(FO(alpha), 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    def test_small_and_large_delta_match_mpmath(self, alpha):
+        # sqrt(1 + delta) - 1 cancels for small delta; the constants must not
+        deltas = [m * 10.0 ** e for e in range(-15, 1) for m in (1.0, 3.0)] + [0.5, 10.0]
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            for delta in deltas:
+                c = lower_bound_constants(FO(alpha), delta)
+                kappa = mp.sqrt(1 + mp.mpf(delta)) - 1
+                eta = (1 + kappa) ** 2 / kappa ** 2
+                c_delta = kappa ** 3 / ((1 + kappa) ** 2 * (1 + 2 * kappa + 2 * kappa ** 2))
+                T = c_delta ** ((1 - a) / a) / (mp.gamma(2 - a) ** (1 / a) * (1 + mp.mpf(delta)))
+                for got, want in ((c.kappa, kappa), (c.eta, eta), (c.T, T)):
+                    assert abs(got - want) <= 1e-12 * abs(want), (delta, got, want)
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-300, 1e200, 1e300])
+    def test_delta_whose_constants_leave_double_precision_raises(self, delta):
+        with pytest.raises(ConsistencyError, match="double precision"):
+            lower_bound_constants(FO(0.5), delta)
+
     def test_sandwich_orders(self):
         for delta in (0.1, 0.5, 1.0, 3.0):
             for a in np.linspace(0.05, 0.95, 15):

@@ -1,18 +1,23 @@
 """Command-line surface: JSON reports, CSV reproducibility, manifest
 round-trips, and the documented exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracburgers import cli, gamma
+from fracburgers import FractionalOrder, cli, gamma, lower_bound_T
 from fracburgers.cli import _read_sampled_csv, main
 
 
@@ -115,6 +120,21 @@ class TestBounds:
         rc, report = run_json(capsys, ["bounds", "--alpha", "0.25"])
         assert rc == 0
         assert "lower_bound" not in report
+
+    @pytest.mark.parametrize("command", [["bounds"], ["blowup"]])
+    @pytest.mark.parametrize("delta", ["5e-324", "1e-300", "1e300"])
+    def test_delta_whose_constants_leave_double_precision_exits_3(self, capsys, command, delta):
+        assert main(command + ["--alpha", "0.5", "--delta", delta]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: lower-bound constants leave double precision") and err.count("\n") == 1
+
+    def test_tiny_delta_exits_0(self, capsys):
+        rc, report = run_json(capsys, ["bounds", "--alpha", "0.5", "--delta", "1e-16"])
+        assert rc == 0
+        assert 0.0 < report["lower_bound"] < report["upper_bound"]
+        rc, report = run_json(capsys, ["blowup", "--alpha", "0.5", "--delta", "1e-16"])
+        assert rc == 0
+        assert report["sandwich"]["lower"] == lower_bound_T(FractionalOrder(0.5), 1e-16)
 
     def test_bad_alpha_exits_2(self):
         assert main(["bounds", "--alpha", "1.5"]) == 2
@@ -315,6 +335,29 @@ class TestPde:
         assert np.unique(data[:, 0]).tolist() == [0.0, 1e-12]
         assert data.shape == (2 * 64, 3)
 
+    def test_one_step_dirichlet_minus_x(self, tmp_path):
+        # the product-form boundary march spans the same single step
+        rc = main([
+            "pde", "--form", "u", "--alpha", "0.5", "--cells", "8", "--h", "0.01",
+            "--t-max", "0.01", "--bc", "dirichlet", "--initial", "minus-x", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        _, data = read_csv(tmp_path / "pde.csv")
+        assert np.unique(data[:, 0]).tolist() == [0.0, 0.01]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("form", ["u", "rho"])
+    def test_overflowing_first_slice_exits_2_without_a_warning(self, tmp_path, capsys, form, bc):
+        # the flux of the minus-x datum on [-1, 1e300] overflows at the first step
+        rc = main([
+            "pde", "--form", form, "--alpha", "0.5", "--cells", "8", "--h", "1e-3",
+            "--t-max", "0.01", "--bc", bc, "--initial", "minus-x", "--x-max", "1e300",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: first marching step produced a non-finite slice\n"
+
     def test_unknown_initial_exits_2(self, tmp_path):
         rc = main([
             "pde", "--form", "u", "--alpha", "0.5", "--cells", "16",
@@ -324,16 +367,108 @@ class TestPde:
         assert rc == 2
 
 
-# "--h=-1e-3": argparse reads a bare "-1e-3" as an option, not a number
-@pytest.mark.parametrize("bad", [["--h", "0"], ["--h=-1e-3"], ["--t-max", "inf"]])
+STEP_INVALID = "error: step must be finite and > 0"
+HORIZON_INVALID = "error: horizon must be finite and > 0"
+RATIO_INVALID = "error: horizon / step must be finite"
+
+
+# Each value goes in as "--flag=value": argparse reads a bare "-1e-3" as an
+# option, not a number. A finite ratio, however large, is not refused (there
+# is no step budget), so the grid holds no such pair.
+@pytest.mark.parametrize("bad", [
+    ("0", "0.01", STEP_INVALID),
+    ("-1e-3", "0.01", STEP_INVALID),
+    ("1e-3", "inf", HORIZON_INVALID),
+    ("nan", "0.01", STEP_INVALID),
+    ("1e-3", "nan", HORIZON_INVALID),
+    ("-inf", "0.01", STEP_INVALID),
+    ("1e-3", "-1e300", HORIZON_INVALID),
+    ("1e-300", "1e300", RATIO_INVALID),
+    ("5e-324", "1e300", RATIO_INVALID),
+    ("5e-324", "0.01", RATIO_INVALID),
+])
 @pytest.mark.parametrize("command", [
-    ["impulse"],
-    ["pde", "--form", "u", "--alpha", "0.5", "--cells", "16", "--bc", "periodic", "--initial", "constant:1"],
+    (["impulse"], "--h", "--t-max"),
+    (["pde", "--form", "u", "--alpha", "0.5", "--cells", "16", "--bc", "periodic", "--initial", "constant:1"],
+     "--h", "--t-max"),
+    (["solve", "--alpha", "0.5"], "--h", "--t-max"),
+    (["blowup", "--alpha", "0.5"], "--step", "--horizon"),
 ])
 def test_nonpositive_or_infinite_step_and_horizon_exit_2(tmp_path, capsys, command, bad):
-    rc = main(command + ["--h", "1e-3", "--t-max", "0.01"] + bad + ["--out", str(tmp_path)])
+    argv, step_flag, horizon_flag = command
+    step, horizon, message = bad
+    out = [] if argv[0] == "blowup" else ["--out", str(tmp_path)]
+    rc = main(argv + [f"{step_flag}={step}", f"{horizon_flag}={horizon}"] + out)
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad[0].split('=')[0]} must be finite and > 0")
+    assert capsys.readouterr().err.startswith(message)
+
+
+# the options of each subcommand at typical values; None leaves one out
+TYPICAL_OPTIONS = {
+    "bounds": {"--alpha": "0.5", "--delta": "0.5"},
+    "solve": {"--alpha": "0.5", "--h": "0.01", "--t-max": "1", "--cap": None, "--v0": "1", "--threshold": "1e6"},
+    "blowup": {"--alpha": "0.5", "--threshold": "1e6", "--refinements": "1", "--step": "0.01", "--delta": "0.5"},
+    "impulse": {"--alphas": "0.5,1", "--times": "1,2", "--h": "0.01", "--t-max": "3"},
+    "caputo": {"--alpha": "0.5"},
+    "pde": {"--alpha": "0.5", "--cells": "8", "--h": "1e-3", "--t-max": "0.01", "--initial": "minus-x",
+            "--x-min": "-1", "--x-max": "1", "--threshold": "1e6"},
+}
+# (subcommand, flag, template, typical value): a drawn value v goes in as
+# "flag=template.format(v)"; --alphas and --times get it as one entry
+FLOAT_FLAGS = [
+    ("bounds", "--alpha", "{}", "0.5"),
+    ("bounds", "--delta", "{}", "0.5"),
+    ("solve", "--alpha", "{}", "0.5"),
+    ("solve", "--threshold", "{}", "1e6"),
+    ("solve", "--v0", "{}", "1"),
+    ("solve", "--cap", "{}", "4"),
+    ("blowup", "--alpha", "{}", "0.5"),
+    ("blowup", "--threshold", "{}", "1e6"),
+    ("blowup", "--delta", "{}", "0.5"),
+    ("impulse", "--alphas", "{},1", "0.5"),
+    ("impulse", "--times", "{},2", "1"),
+    ("caputo", "--alpha", "{}", "0.5"),
+    ("pde", "--alpha", "{}", "0.5"),
+    ("pde", "--threshold", "{}", "1e6"),
+    ("pde", "--x-min", "{}", "-1"),
+    ("pde", "--x-max", "{}", "1"),
+    ("pde", "--initial", "constant:{}", "0.5"),
+]
+EXTREME_FLOATS = ["0", "1e-300", "-1e-300", "5e-324", "1e300", "-1e300", "inf", "-inf", "nan"]
+
+
+# The step and horizon flags stay at their typical values: a finite but huge
+# horizon / step ratio still marches, because there is no step budget yet, so
+# they are drawn only from the refusal grid of the test above.
+@settings(max_examples=300)
+@given(
+    case=st.sampled_from(FLOAT_FLAGS),
+    value=st.sampled_from(EXTREME_FLOATS + [None]),  # None: the typical value
+    form=st.sampled_from(["u", "rho"]),
+    bc=st.sampled_from(["periodic", "dirichlet"]),
+)
+def test_every_float_flag_ends_in_a_documented_exit_code(tmp_path_factory, case, value, form, bc):
+    command, flag, template, typical = case
+    options = dict(TYPICAL_OPTIONS[command], **{flag: template.format(typical if value is None else value)})
+    argv = [command] + [f"{k}={v}" for k, v in options.items() if v is not None]
+    out = tmp_path_factory.getbasetemp() / "float-flags"
+    if command == "pde":
+        argv += [f"--form={form}", f"--bc={bc}"]
+    if command == "caputo":
+        out.mkdir(exist_ok=True)
+        (out / "in.csv").write_text("t,f\n0.0,0.0\n0.1,0.1\n0.2,0.4\n0.3,0.9\n")
+        argv.append(f"--input={out / 'in.csv'}")
+    if command not in ("bounds", "blowup"):
+        argv.append(f"--out={out}")
+    err = io.StringIO()
+    # warnings raise inside the run only: a "filterwarnings" mark would also
+    # cover Hypothesis's own failure report, which then crashes on a warning
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4)
+    if rc != 0:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, keys", [

@@ -16,6 +16,7 @@ from fracburgers import (
     NoBlowupDetected,
     Nonlinearity,
     SolverConfig,
+    TimeGrid,
     envelope_w,
     envelope_z,
     estimate_blowup,
@@ -86,11 +87,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(0.0, 1.0)
         with pytest.raises(ValueError):
-            SolverConfig(2.0, 1.0)  # step >= horizon
+            SolverConfig(2.0, 1.0)  # step > horizon
         with pytest.raises(ValueError):
             SolverConfig(0.1, 1.0, escape_threshold=-5.0)
         with pytest.raises(ValueError):
             SolverConfig(0.1, 1.0, corrector_sweeps=-1)
+
+    def test_grid_is_the_spanning_grid(self):
+        assert SolverConfig(1e-3, 0.3).grid == TimeGrid.spanning(1e-3, 0.3)
+        assert SolverConfig(0.5, 0.5).grid.count == 1  # a one-step march
 
     def test_threshold_must_exceed_initial_value(self):
         with pytest.raises(ValueError):
@@ -159,7 +164,7 @@ class TestSolve:
         assert np.all(v >= w * (1.0 - 2e-2))
         assert np.all(v <= z * (1.0 + 2e-2))
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(alpha=st.floats(0.1, 0.99))
     def test_envelope_sandwich_over_random_orders(self, alpha):
         # w <= v <= z on 200 steps over [0, 0.999 T]: to roundoff past the
@@ -247,7 +252,7 @@ class TestSolve:
         assert np.all(np.abs(traj.values[:-1]) <= 10.0)
         assert traj.escape_time == pytest.approx(traj.times[-1])
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(
         alpha=st.floats(0.05, 1.0),
         step=st.floats(2e-4, 2e-3),
@@ -401,6 +406,14 @@ class TestBlowupEstimate:
         # the lowest threshold must exceed v(0) = 1 even though only the top one is marched
         with pytest.raises(ValueError, match="must exceed"):
             estimate_blowup(FractionalOrder(0.5), SolverConfig(1e-3, 1.7, escape_threshold=0.5))
+
+    @pytest.mark.parametrize("step, horizon, refinements", [(1e-300, 1e7, 10), (8e-4, 1.7, 1100), (8e-4, 1.7, 10 ** 9)])
+    def test_invalid_finest_rung_is_refused_before_any_march(self, monkeypatch, step, horizon, refinements):
+        # the seed grid is valid; the halvings take horizon / step past the doubles
+        # (2.0 ** 1100 itself overflows)
+        monkeypatch.setattr(fode, "solve", lambda *args: pytest.fail("a rung was marched"))
+        with pytest.raises(ValueError, match="horizon / step must be finite"):
+            estimate_blowup(FractionalOrder(0.5), SolverConfig(step, horizon), refinements=refinements)
 
     @pytest.mark.parametrize("growth, levels", [(1e10, 2), (100.0, 400)])
     def test_overflowing_top_threshold_names_the_ladder(self, monkeypatch, growth, levels):

@@ -2,6 +2,7 @@
 values frozen from pre-build oracles, and structural properties."""
 
 import bisect
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -49,6 +50,23 @@ class TestGridTypes:
             TimeGrid(-1e-3, 10)
         with pytest.raises(ValueError):
             TimeGrid(1e-3, 0)
+
+    def test_spanning_step_count(self):
+        assert TimeGrid.spanning(1e-3, 1.0) == TimeGrid(1e-3, 1000)
+        assert TimeGrid.spanning(0.5, 1.25).count == 2  # 2.5 rounds half to even
+        assert TimeGrid.spanning(2.0, 1.0).count == 1  # at least one step
+        assert TimeGrid.spanning(1e-12, 1.0).count == 10 ** 12  # no step budget
+
+    @pytest.mark.parametrize("step, horizon, message", [
+        (0.0, 1.0, "step must be finite and > 0"),
+        (math.nan, 1.0, "step must be finite and > 0"),
+        (1e-3, -math.inf, "horizon must be finite and > 0"),
+        (1e-300, 1e300, "horizon / step must be finite"),
+        (5e-324, 0.01, "horizon / step must be finite"),
+    ])
+    def test_spanning_refuses(self, step, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            TimeGrid.spanning(step, horizon)
 
     def test_sampled_validation(self):
         grid = TimeGrid(0.1, 10)
@@ -252,7 +270,7 @@ def _interpolant_terms(values, h, alpha, caputo):
 class TestPiecewiseLinearExactness:
     # both batch operators are exact on the piecewise-linear interpolant of
     # arbitrary node values, up to a normwise roundoff of the convolution
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=65),
         alpha=st.floats(0.02, 1.0),

@@ -124,7 +124,7 @@ class TestTable:
             impulse_table(CAPTION_TRAIN, [], TimeGrid(0.01, 100))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     step=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
     count=st.integers(1, 120),

@@ -117,7 +117,7 @@ class TestConservationAndTransform:
         masses = field.slices.sum(axis=1) * sp.dx
         assert np.max(np.abs(masses - masses[0])) <= 1e-10 * abs(masses[0])
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(
         alpha=st.floats(0.1, 1.0),
         cells=st.integers(8, 48),
@@ -157,7 +157,7 @@ class TestConservationAndTransform:
         transformed = rho_to_u(rho_run)
         assert np.max(np.abs(transformed.slices - u_run.slices)) <= 1e-9
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(
         alpha=st.floats(0.2, 0.99),
         cells=st.integers(8, 40),
