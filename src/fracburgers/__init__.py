@@ -23,6 +23,7 @@ from .fode import (
     BlowupEstimate,
     NoBlowupDetected,
     Nonlinearity,
+    RungRecord,
     SolverConfig,
     Trajectory,
     estimate_blowup,
@@ -85,6 +86,7 @@ __all__ = [
     "Nonlinearity",
     "SolverConfig",
     "Trajectory",
+    "RungRecord",
     "BlowupEstimate",
     "NoBlowupDetected",
     "solve",

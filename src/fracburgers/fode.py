@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from time import perf_counter
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .frac_ops import (
     FractionalOrder,
     LaggedSum,
+    LagTables,
     SampledFunction,
     TimeGrid,
     _power_increments,
@@ -37,6 +39,7 @@ __all__ = [
     "Nonlinearity",
     "SolverConfig",
     "Trajectory",
+    "RungRecord",
     "BlowupEstimate",
     "NoBlowupDetected",
     "solve",
@@ -153,12 +156,42 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class RungRecord:
+    """One rung of a blow-up ladder: a march at `step`, read at every ladder threshold.
+
+    `steps` is the number of steps the march took. `escape_indices` holds
+    the escape index at each ladder threshold, lowest threshold first; a
+    march that completes its horizon below a threshold holds only those of
+    the thresholds it passed, and ends the ladder with
+    :class:`NoBlowupDetected`. `wall_s` is the wall time of the march.
+    `window` holds the (t, v) nodes with 10 <= v <= 100 of the finest rung,
+    and is empty on the others.
+    """
+
+    step: float
+    steps: int
+    escape_indices: tuple[int, ...]
+    wall_s: float
+    window: tuple[tuple[float, float], ...] = field(default=(), repr=False)
+
+
+def _trace(thresholds: tuple[float, ...], rungs: Iterable[RungRecord]) -> list[tuple[float, float, float]]:
+    """(step, threshold, escape time) of every threshold each rung passed, rung by rung."""
+    return [(r.step, x, i * r.step) for r in rungs for x, i in zip(thresholds, r.escape_indices)]
+
+
+@dataclass(frozen=True)
 class BlowupEstimate:
-    """Bracket [t_lo, t_hi] for the blow-up time with its refinement trace."""
+    """Bracket [t_lo, t_hi] for the blow-up time with the ladder that gave it.
+
+    `rungs` holds one :class:`RungRecord` per step of the ladder, coarsest
+    first, each read at `thresholds`; `refinement_trace` is derived from them.
+    """
 
     t_lo: float
     t_hi: float
-    refinement_trace: list[tuple[float, float, float]] = field(repr=False)
+    thresholds: tuple[float, ...]
+    rungs: tuple[RungRecord, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.t_lo <= self.t_hi):
@@ -167,6 +200,11 @@ class BlowupEstimate:
     @property
     def width(self) -> float:
         return self.t_hi - self.t_lo
+
+    @property
+    def refinement_trace(self) -> list[tuple[float, float, float]]:
+        """(step, threshold, escape time) per rung and threshold, coarsest rung and lowest threshold first."""
+        return _trace(self.thresholds, self.rungs)
 
 
 def _validate(f: Nonlinearity, v0: float, config: SolverConfig) -> float:
@@ -210,7 +248,14 @@ def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajec
     return _finish(values, h, None)
 
 
-def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig) -> Trajectory:
+def _march_tables(alpha: float) -> LagTables:
+    """The predictor and corrector weight rows of the fractional march at order alpha."""
+    return LagTables(lambda m: np.stack((_power_increments(alpha, m), _pt_weights(alpha, m))))
+
+
+def _solve_fractional(
+    f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig, tables: LagTables
+) -> Trajectory:
     alpha = order.alpha
     h = config.step
     n_steps = config.grid.count
@@ -224,7 +269,7 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
     # the corrector's weight 1 on f(v_{n+1}). The memory sums arrive as Python
     # floats, and the bound methods below keep the per-step scalar work cheap.
     rhs = f.fn
-    sums = LaggedSum(lambda m: np.stack((_power_increments(alpha, m), _pt_weights(alpha, m))), n_steps + 1)
+    sums = LaggedSum(tables, n_steps + 1)
     f0 = float(rhs(v0))
     pred_f0 = c_pred * f0
     corr_f0 = (alpha + 1.0) * f0
@@ -248,16 +293,22 @@ def _solve_fractional(f: Nonlinearity, v0: float, order: FractionalOrder, config
     return _finish(values, h, None)
 
 
-def solve(f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig) -> Trajectory:
+def solve(
+    f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig, *, _tables: LagTables | None = None
+) -> Trajectory:
     """March the Volterra form of ^C D^alpha v = f(v), v(0) = v0.
 
     Terminates at the horizon or at the first node whose value exceeds the
-    escape threshold, whichever comes first.
+    escape threshold, whichever comes first. The fractional march reads its
+    weights from `_tables` (:func:`_march_tables` of the same alpha), which
+    :func:`estimate_blowup` shares between its rungs; left out, the march
+    builds its own.
     """
     v0 = _validate(f, v0, config)
     if order.is_classical:
         return _solve_classical(f, v0, config)
-    return _solve_fractional(f, v0, order, config)
+    tables = _march_tables(order.alpha) if _tables is None else _tables
+    return _solve_fractional(f, v0, order, config, tables)
 
 
 def solve_capped(cap: float, v0: float, order: FractionalOrder, config: SolverConfig) -> Trajectory:
@@ -302,9 +353,18 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     lower end subtracts a Richardson-style correction taken from the last
     step-halving difference. No growth-rate model is assumed.
 
-    Raises :class:`NoBlowupDetected`, carrying the trace read so far, at the
-    first (step, threshold) pair whose march would complete its horizon
-    without escaping; a partial ladder never yields a fabricated estimate.
+    Every rung marches at the same alpha, so all of them read one set of
+    weight tables (:class:`frac_ops.LagTables`), built for this call and
+    grown to the largest rung's needs; the sums are bit-identical to those
+    of marches on tables of their own. The estimate keeps one
+    :class:`RungRecord` per rung, from which its trace is derived.
+
+    Every rung's grid is checked before the first march; a refused rung
+    raises ValueError naming its index and step, the seed step and
+    `refinements`. Raises :class:`NoBlowupDetected`, carrying the trace read
+    so far, at the first (step, threshold) pair whose march would complete
+    its horizon without escaping; a partial ladder never yields a fabricated
+    estimate.
     """
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
@@ -313,46 +373,65 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     horizon, sweeps = config_seed.horizon, config_seed.corrector_sweeps
     seed = config_seed.escape_threshold
     try:
-        thresholds = [seed * THRESHOLD_GROWTH ** i for i in range(THRESHOLD_LEVELS)]
+        thresholds = tuple(seed * THRESHOLD_GROWTH ** i for i in range(THRESHOLD_LEVELS))
     except OverflowError:  # the power itself left the float range
-        thresholds = [math.inf]
+        thresholds = (math.inf,)
     if not math.isfinite(thresholds[-1]):
         raise ValueError(
             f"the top ladder threshold overflows: escape_threshold {seed:g} * "
             f"{THRESHOLD_GROWTH:g} ** {THRESHOLD_LEVELS - 1} is not finite"
         )
     _validate(f, 1.0, config_seed)  # the thresholds rise from the seed's
-    # every rung's grid is checked before the first march; ldexp halves the
-    # seed step exactly and underflows to a refused 0 where 2.0 ** i would
-    # overflow, so a huge `refinements` stops after about 1100 rungs
-    rungs = [SolverConfig(math.ldexp(config_seed.step, -i), horizon, thresholds[-1], sweeps)
-             for i in range(refinements + 1)]
+    # ldexp halves the seed step exactly and underflows to a refused 0 where
+    # 2.0 ** i would overflow, so a huge `refinements` stops after about 1100 rungs
+    rungs = []
+    for i in range(refinements + 1):
+        step = math.ldexp(config_seed.step, -i)
+        try:
+            rungs.append(SolverConfig(step, horizon, thresholds[-1], sweeps))
+        except ValueError as exc:
+            raise ValueError(
+                f"ladder rung {i} (step {step!r}, the seed step {config_seed.step!r} "
+                f"halved {i} times; refinements {refinements}) is refused: {exc}"
+            ) from exc
 
-    trace: list[tuple[float, float, float]] = []
+    tables = _march_tables(order.alpha)
+    records: list[RungRecord] = []
     for rung in rungs:
-        h = rung.step
-        traj = solve(f, 1.0, order, rung)
+        start = perf_counter()
+        traj = solve(f, 1.0, order, rung, _tables=tables)
+        wall = perf_counter() - start
         magnitude = np.abs(traj.values)
+        indices = []
         for x in thresholds:
             above = np.flatnonzero(magnitude > x)
             if above.size:
-                idx = int(above[0])
+                indices.append(int(above[0]))
             elif traj.status == "escaped":
-                idx = traj.escape_index  # overflowed before any finite value exceeded x
+                indices.append(traj.escape_index)  # overflowed before any finite value exceeded x
             else:
-                raise NoBlowupDetected(
-                    f"no blow-up detected below horizon {horizon} "
-                    f"(step {h:g}, threshold {x:g})",
-                    trace,
-                )
-            trace.append((h, x, idx * traj.samples.grid.step))
+                break
+        window = ()
+        if rung is rungs[-1]:
+            v = traj.values
+            inside = (v >= 10.0) & (v <= 100.0)
+            window = tuple(zip(traj.times[inside].tolist(), v[inside].tolist()))
+        steps = traj.escape_index if traj.escape_index is not None else traj.samples.grid.count
+        records.append(RungRecord(rung.step, steps, tuple(indices), wall, window))
+        if len(indices) < len(thresholds):
+            raise NoBlowupDetected(
+                f"no blow-up detected below horizon {horizon} "
+                f"(step {rung.step:g}, threshold {thresholds[len(indices)]:g})",
+                _trace(thresholds, records),
+            )
 
     # the finest and the next-coarser step, both at the largest threshold
-    e_fine = trace[-1][2]
-    e_prev = trace[-1 - THRESHOLD_LEVELS][2]
-    h_fine = rungs[-1].step
+    fine, prev = records[-1], records[-2]
+    h_fine = fine.step
+    e_fine = fine.escape_indices[-1] * h_fine
+    e_prev = prev.escape_indices[-1] * prev.step
     t_hi = e_fine + h_fine
     correction = abs(e_prev - e_fine) + h_fine
     t_lo = max(e_fine - correction, 0.5 * h_fine)
     t_lo = min(t_lo, t_hi)
-    return BlowupEstimate(t_lo, t_hi, trace)
+    return BlowupEstimate(t_lo, t_hi, thresholds, tuple(records))

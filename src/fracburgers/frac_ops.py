@@ -22,7 +22,9 @@ incremental primitive, :class:`LaggedSum`, which evaluates the full O(N^2)
 sum in O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
 and target is still summed once, with no history compression and no
-windowing, on tables and buffers that grow with the march.
+windowing, on buffers that grow with the march. Its weight tables live in a
+:class:`LagTables`, which marches at one order share and which grows to the
+largest of them.
 :func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
 in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
@@ -48,6 +50,7 @@ __all__ = [
     "TimeGrid",
     "SampledFunction",
     "PowerTestFunction",
+    "LagTables",
     "LaggedSum",
     "caputo_left",
     "classical_derivative",
@@ -199,17 +202,70 @@ _BLOCK = 128  # base block B of LaggedSum: lags below it are summed directly
 _FFT_ENTRIES = 1 << 16  # complex entries per column chunk of a block transform
 
 
+class LagTables:
+    """The weight tables of one weight kind, shared by every :class:`LaggedSum` built on them.
+
+    ``weights(m)`` returns w_1..w_m, as one row or as several rows (shape
+    (rows, m)); its entries must depend on the lag k alone, not on m, so that
+    a table of any length holds the same values. The object holds the three
+    things a march reads and never writes: the lag table, the near slices
+    w_r..w_1 of the direct part, and one spectrum per block level. Marches
+    read them through :class:`LaggedSum`; marches of one weight kind (the
+    rungs of a blow-up ladder) share one object, so each table is computed
+    once for all of them.
+
+    Everything grows with the largest request: the lag table fourfold from
+    1024 lags, capped at 2 * the capacity of the march that asks (it never
+    shrinks, since a march asks for at most 2 * capacity - 1 lags), the near
+    slices once, at the first march, and the spectra per level reached. A
+    spectrum reads lags 1..2L-1 only, so it is the same whichever march adds
+    it.
+    """
+
+    __slots__ = ("_weights", "_table", "_near", "_spectra")
+
+    def __init__(self, weights: Callable[[int], np.ndarray]):
+        self._weights = weights
+        self._table = np.empty(0)
+        self._near: list[np.ndarray] = []
+        self._spectra: list[np.ndarray] = []  # level l: (rows, B 2^l + 1, 1)
+
+    def lags(self, count: int, capacity: int) -> np.ndarray:
+        """w_1..w_count from the cached table, grown for a march of `capacity` when too short."""
+        if count > self._table.shape[-1]:
+            grown = min(max(4 * self._table.shape[-1], 1024), 2 * capacity)
+            self._table = np.asarray(self._weights(max(count, grown)), dtype=float)
+        return self._table[..., :count]
+
+    def near_slices(self, capacity: int) -> list[np.ndarray]:
+        """w_r..w_1 for r = 0..B-1, each C-contiguous (a copy for several weight rows)."""
+        if not self._near:
+            near = np.ascontiguousarray(self.lags(_BLOCK - 1, capacity)[..., ::-1])  # w_{B-1}..w_1
+            self._near = [np.ascontiguousarray(near[..., _BLOCK - 1 - r :]) for r in range(_BLOCK)]
+        return self._near
+
+    def spectrum(self, level: int, capacity: int) -> np.ndarray:
+        """The spectrum of the lags of block level `level`, shape (rows, L + 1, 1)."""
+        if level == len(self._spectra):  # a march reaches its levels in increasing order
+            size = _BLOCK << level
+            # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
+            # rotated by one lag, so the block outputs are read one index early
+            spectrum = np.fft.rfft(self.lags(2 * size - 1, capacity), 2 * size)
+            self._spectra.append(spectrum.reshape(-1, size + 1, 1))
+        return self._spectra[level]
+
+
 class LaggedSum:
     """Running lagged sum s_n = sum_{k=1}^{n} w_k g_{n-k} over a growing history.
 
     The history g_0, g_1, ... gains one entry per step (a scalar, or a row of
     the given shape), up to `capacity` entries, and :meth:`value` gives s_n
     for n < capacity, the sums a march reads before each append; the last
-    entry is kept but feeds no sum. ``weights(m)`` returns
-    w_1..w_m, either as one row or as several rows (shape (rows, m)); with
-    several rows, :meth:`value` returns one sum per row. A scalar history
-    sums to Python floats, a row history to an ndarray. An empty history sums
-    to 0. Every marching scheme in the package takes its memory term from here.
+    entry is kept but feeds no sum. The weights w_k come from `tables`
+    (:class:`LagTables`), one row or several; with several rows,
+    :meth:`value` returns one sum per row. A scalar history sums to Python
+    floats, a row history to an ndarray. An empty history sums to 0. Every
+    marching scheme in the package takes its memory term from here.
 
     The sum is the full one, reordered exactly in dyadic blocks (Hairer,
     Lubich & Schlichte 1985) so that n steps cost O(n log^2 n) instead of
@@ -221,47 +277,36 @@ class LaggedSum:
       L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s] adds
       its contribution to the targets s..s+L-1 through one real FFT of length
       2L against w_0..w_{2L-1} (w_0 = 0). That weight segment is the same for
-      every block of a level, so each level reached computes one spectrum.
+      every block of a level, so the tables hold one spectrum per level.
 
     Every (target, source) pair is counted exactly once, by the near part or
     by the one block pair whose halves separate them; nothing is compressed or
-    windowed. Everything it stores grows with the history; `capacity` is only
-    the upper limit. The weight table grows fourfold from 1024 lags up to
-    2 * capacity, spectra are added per level reached, and the history and
-    far-sum buffers start at min(capacity, B) rows and double in place at a
-    flush. With one weight row the far sums of future targets live in the
-    history buffer's not-yet-written slots (slot n holds far[n] until g_n
+    windowed. The tables are shared and read only; what the march owns, the
+    history and far-sum buffers, grows with the history, with `capacity` only
+    the upper limit: both start at min(capacity, B) rows and double in place
+    at a flush. With one weight row the far sums of future targets live in
+    the history buffer's not-yet-written slots (slot n holds far[n] until g_n
     overwrites it), so they cost no memory of their own. A scalar history also
     copies the far sums of the current base block into one Python list at each
     flush, so that :meth:`value` adds floats; a row history keeps the ndarray
     add, which costs less than refreshing a list of rows at every flush.
     """
 
-    __slots__ = ("_weights", "_capacity", "_table", "_near", "_spectra", "_history", "_far", "_far_block", "_size")
+    __slots__ = ("_tables", "_capacity", "_near", "_history", "_far", "_far_block", "_size")
 
-    def __init__(self, weights: Callable[[int], np.ndarray], capacity: int, shape: tuple[int, ...] = ()):
-        self._weights = weights
+    def __init__(self, tables: LagTables, capacity: int, shape: tuple[int, ...] = ()):
+        self._tables = tables
         self._capacity = capacity
-        self._table = np.empty(0)
-        near = np.ascontiguousarray(self._lags(_BLOCK - 1)[..., ::-1])  # w_{B-1}..w_1
-        # the near part of s_n dots the last r = n mod B of these with g_{n-r}..g_{n-1};
-        # each is C-contiguous (a copy for several weight rows), which keeps the dot cheap
-        self._near = [np.ascontiguousarray(near[..., _BLOCK - 1 - r :]) for r in range(_BLOCK)]
-        self._spectra: list[np.ndarray] = []
+        # the near part of s_n dots the last r = n mod B lags with g_{n-r}..g_{n-1};
+        # the list is bound here so that value() reads it in one hop
+        self._near = tables.near_slices(capacity)
         rows = min(capacity, _BLOCK)
         self._history = np.zeros((rows, *shape))
-        weight_rows = near.shape[:-1]
+        weight_rows = self._near[0].shape[:-1]
         self._far = np.zeros((rows, *weight_rows, *shape)) if weight_rows else self._history
         # scalar histories: the far sums of the current base block as Python floats
         self._far_block = None if shape else self._far[:_BLOCK].tolist()
         self._size = 0
-
-    def _lags(self, count: int) -> np.ndarray:
-        """w_1..w_count from the cached table, grown when it is too short."""
-        if count > self._table.shape[-1]:
-            grown = min(max(4 * self._table.shape[-1], 1024), 2 * self._capacity)
-            self._table = np.asarray(self._weights(max(count, grown)), dtype=float)
-        return self._table[..., :count]
 
     def append(self, g) -> None:
         s = self._size
@@ -305,12 +350,7 @@ class LaggedSum:
             self._history.resize((rows, *self._history.shape[1:]), refcheck=False)
             if self._far is not self._history:
                 self._far.resize((rows, *self._far.shape[1:]), refcheck=False)
-        if level == len(self._spectra):  # levels first appear in increasing order
-            # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
-            # rotated by one lag, so the outputs below are read one index early
-            spectrum = np.fft.rfft(self._lags(2 * size - 1), 2 * size)
-            self._spectra.append(spectrum.reshape(-1, size + 1, 1))
-        spectrum = self._spectra[level]  # (rows, L + 1, 1)
+        spectrum = self._tables.spectrum(level, self._capacity)  # (rows, L + 1, 1): read one index early
         block = self._history[s - size : s].reshape(size, -1)
         far = self._far[s : s + count].reshape(count, len(spectrum), -1)
         chunk = max(1, _FFT_ENTRIES // (size + 1))

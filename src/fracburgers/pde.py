@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .fode import Trajectory
-from .frac_ops import FractionalOrder, LaggedSum, TimeGrid, _power_increments
+from .frac_ops import FractionalOrder, LaggedSum, LagTables, TimeGrid, _power_increments
 from .specfun import gamma
 
 __all__ = [
@@ -193,7 +193,7 @@ def _march(
     cfl_scale = h ** alpha / (g2 * dx)
 
     # L1 weights b_1..b_m on the past slice differences u^(n-k) - u^(n-k-1)
-    memory = LaggedSum(lambda m: _power_increments(1.0 - alpha, m + 1)[1:], n_steps, x.shape)
+    memory = LaggedSum(LagTables(lambda m: _power_increments(1.0 - alpha, m + 1)[1:]), n_steps, x.shape)
     # the retained slices: up to _RESERVED_BYTES of rows up front, doubled in
     # place when the march fills them (up to n_steps + 1 rows) and shrunk in
     # place to the slices kept, so nothing scales with horizon / step; no view

@@ -198,6 +198,34 @@ class TestBlowup:
         rc = main(["blowup", "--alpha", "0.9", "--horizon", "0.05", "--step", "0.001"])
         assert rc == 4
 
+    @pytest.mark.parametrize("argv, rung", [
+        (["--step", "1e-323", "--horizon", "1e-300"], "ladder rung 2 (step 0.0"),  # the step halves to 0
+        (["--refinements", "1100"], "ladder rung 1013 (step 9.113902524445496e-309"),  # horizon / step overflows
+    ])
+    def test_refused_rung_exits_2_naming_the_rung(self, capsys, argv, rung):
+        assert main(["blowup", "--alpha", "0.5"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rung}") and err.count("\n") == 1
+        assert "refinements" in err
+
+    def test_in_process_report_matches_a_fresh_process(self, capsys):
+        # the parser and nothing else outlives a call of main, so a process
+        # that ran other commands first prints the report of a fresh one
+        assert main(["bounds", "--alpha", "0.3"]) == 0
+        assert main(["blowup", "--alpha", "0.3"]) == 0
+        capsys.readouterr()
+        _, report = run_json(capsys, ["blowup", "--alpha", "0.5"])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fracburgers.cli", "blowup", "--alpha", "0.5"],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        fresh_report = json.loads(fresh.stdout)
+        for r in (report, fresh_report):
+            del r["manifest"]["duration_seconds"]
+        assert json.dumps(report) == json.dumps(fresh_report)
+
 
 class TestImpulse:
     def test_default_dataset(self, tmp_path):
@@ -507,3 +535,29 @@ def test_import_does_not_load_scipy_integrate():
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            rc, report = run_json(capsys, ["bounds", "--alpha", "0.5"])
+            assert rc == 0 and report["alpha"] == 0.5
+        assert main(["bounds", "--alpha", "x"]) == 2  # refused by argparse
+        assert "invalid float value" in capsys.readouterr().err
+        rc, report = run_json(capsys, ["bounds", "--alpha", "0.25", "--delta", "0.5"])
+        assert rc == 0 and report["alpha"] == 0.25 and "lower_bound" in report
+        # a later call does not see the options of an earlier one
+        rc, report = run_json(capsys, ["bounds", "--alpha", "0.5"])
+        assert rc == 0 and "lower_bound" not in report
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]

@@ -359,6 +359,60 @@ class TestBlowupEstimate:
         assert {c.escape_threshold for c in calls} == {1e10}
         assert len(est.refinement_trace) == 3 * (refinements + 1)
 
+    @pytest.mark.parametrize("alpha, growth", [(0.5, [1024, 4096]), (0.9, [1024, 4096, 16384])])
+    def test_weight_table_built_once_per_growth_step(self, monkeypatch, alpha, growth):
+        # the four rungs share one set of tables: each table length is computed
+        # once, where a march per rung on tables of its own computes 1024 lags
+        # four times over
+        asked = []
+        original = fode._pt_weights
+
+        def counting(a, m):
+            asked.append(m)
+            return original(a, m)
+
+        monkeypatch.setattr(fode, "_pt_weights", counting)
+        estimate_blowup(FractionalOrder(alpha), SolverConfig(8e-4, 1.7))
+        assert asked == growth
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("order_of_rungs", ["coarse first", "fine first"])
+    def test_shared_tables_give_the_bits_of_fresh_ones(self, alpha, order_of_rungs):
+        # capped marches of 1500 and 6000 steps: the second march in either
+        # order grows the tables or reads levels the first one added
+        order = FractionalOrder(alpha)
+        capped = Nonlinearity.capped_square(4.0)
+        configs = [SolverConfig(1e-3, 1.5), SolverConfig(2.5e-4, 1.5)]
+        if order_of_rungs == "fine first":
+            configs.reverse()
+        tables = fode._march_tables(alpha)
+        for config in configs:
+            shared = solve(capped, 1.0, order, config, _tables=tables)
+            fresh = solve(capped, 1.0, order, config)
+            assert shared.values.tobytes() == fresh.values.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+    def test_rung_records(self, alpha):
+        order = FractionalOrder(alpha)
+        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        assert est.thresholds == (1e6, 1e8, 1e10)
+        assert [r.step for r in est.rungs] == [8e-4 / 2 ** i for i in range(4)]
+        for rung in est.rungs:
+            traj = solve(SQUARE, 1.0, order, SolverConfig(rung.step, 1.7, 1e10))
+            assert rung.steps == traj.escape_index
+            assert rung.escape_indices[-1] == traj.escape_index
+            assert rung.wall_s > 0.0
+        *coarse, finest = est.rungs
+        assert all(r.window == () for r in coarse)
+        v = traj.values  # the finest rung
+        inside = (v >= 10.0) & (v <= 100.0)
+        assert finest.window == tuple(zip(traj.times[inside].tolist(), v[inside].tolist()))
+        assert len(finest.window) >= 30
+        # the trace is read from the records
+        assert est.refinement_trace == [
+            (r.step, x, i * r.step) for r in est.rungs for x, i in zip(est.thresholds, r.escape_indices)
+        ]
+
     def test_partial_trace_names_first_missing_rung(self):
         # the horizon of 225 coarse steps lets the two lower thresholds escape
         # but not the top one, so the ladder stops at its third rung
@@ -411,9 +465,12 @@ class TestBlowupEstimate:
     def test_invalid_finest_rung_is_refused_before_any_march(self, monkeypatch, step, horizon, refinements):
         # the seed grid is valid; the halvings take horizon / step past the doubles
         # (2.0 ** 1100 itself overflows)
-        monkeypatch.setattr(fode, "solve", lambda *args: pytest.fail("a rung was marched"))
-        with pytest.raises(ValueError, match="horizon / step must be finite"):
+        monkeypatch.setattr(fode, "solve", lambda *args, **kwargs: pytest.fail("a rung was marched"))
+        with pytest.raises(ValueError, match="horizon / step must be finite") as err:
             estimate_blowup(FractionalOrder(0.5), SolverConfig(step, horizon), refinements=refinements)
+        # the message names the derived rung, not only the step the caller never passed
+        assert f"seed step {step!r}" in str(err.value)
+        assert f"refinements {refinements}" in str(err.value)
 
     @pytest.mark.parametrize("growth, levels", [(1e10, 2), (100.0, 400)])
     def test_overflowing_top_threshold_names_the_ladder(self, monkeypatch, growth, levels):

@@ -407,7 +407,8 @@ class TestLaggedSum:
                 return frac_ops._power_increments(0.37, m)
             g, shape = rng.random(capacity), ()
         table = weights(capacity)
-        memory = frac_ops.LaggedSum(weights, capacity + 1, shape)  # s_n for n <= capacity
+        tables = frac_ops.LagTables(weights)
+        memory = frac_ops.LaggedSum(tables, capacity + 1, shape)  # s_n for n <= capacity
         assert np.all(np.asarray(memory.value()) == 0.0)
         for n in range(1, capacity + 1):
             memory.append(g[n - 1])
@@ -420,7 +421,7 @@ class TestLaggedSum:
                 # with the bits of the far row plus the near dot as ndarrays
                 assert type(got) is float if kind == "scalar" else [type(x) for x in got] == [float, float]
                 r = n % B
-                bits = memory._far[n] + np.dot(memory._near[r], memory._history[n - r : n])
+                bits = memory._far[n] + np.dot(tables._near[r], memory._history[n - r : n])
                 assert np.asarray(got).tobytes() == bits.tobytes()
                 got = np.asarray(got)
             assert got.shape == want.shape
@@ -440,14 +441,36 @@ class TestLaggedSum:
             asked.append(m)
             return frac_ops._power_increments(0.5, m)
 
-        memory = frac_ops.LaggedSum(weights, capacity)
+        tables = frac_ops.LagTables(weights)
+        memory = frac_ops.LaggedSum(tables, capacity)
         for _ in range(appends):
             memory.append(1.0)
         # one table serves every level reached: fourfold growth starts at
         # 1024 lags and stops at 2 * capacity
         assert asked == [min(1024, 2 * capacity)]
         # the spectrum of the largest level L reached reads lags up to 2L - 1
-        assert 2 * (memory._spectra[-1].shape[1] - 1) - 1 == longest
+        assert 2 * (tables._spectra[-1].shape[1] - 1) - 1 == longest
+
+    @pytest.mark.parametrize("capacities", [(300, 3000), (3000, 300)])
+    def test_shared_tables_give_the_bits_of_fresh_ones(self, capacities):
+        # the pde weight kind on row histories: the march that runs second
+        # reads a table grown by the first, or grows the one the first left
+        def weights(m):
+            return frac_ops._power_increments(0.63, m + 1)[1:]
+
+        rng = np.random.default_rng(7)
+        shared = frac_ops.LagTables(weights)
+        for capacity in capacities:
+            g = rng.standard_normal((capacity, 3))
+            sums = []
+            for tables in (shared, frac_ops.LagTables(weights)):
+                memory = frac_ops.LaggedSum(tables, capacity, (3,))
+                values = []
+                for row in g[:-1]:
+                    memory.append(row)
+                    values.append(memory.value())
+                sums.append(np.array(values).tobytes())
+            assert sums[0] == sums[1]
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_buffers_grow_with_the_history_not_the_capacity(self, rows):
@@ -457,7 +480,7 @@ class TestLaggedSum:
             table = frac_ops._power_increments(0.5, m)
             return np.stack([table] * rows) if rows > 1 else table
 
-        memory = frac_ops.LaggedSum(weights, 10 ** 9)
+        memory = frac_ops.LaggedSum(frac_ops.LagTables(weights), 10 ** 9)
         for _ in range(4 * B):
             memory.append(1.0)
         assert len(memory._history) <= 8 * B and len(memory._far) <= 8 * B
