@@ -5,8 +5,9 @@ supersolution w(t) = b/(b-t) sitting below the blowing-up solution; the lower
 bound comes from a delayed-pole subsolution z(t) sitting above it. The two
 printed expressions for the lower bound (the direct 1/b - (1+eta)d form and
 the c_delta^((1-alpha)/alpha) form) are algebraically equal; this module
-computes both and refuses to return if they disagree, since a mismatch can
-only mean an implementation bug.
+returns the closed form, which does not cancel, and refuses to return if the
+direct form disagrees with it beyond the roundoff of its two terms, since a
+mismatch can only mean an implementation bug.
 
 Note on naming: the symbol b is used for two different constants in the two
 bound constructions. Here `upper_bound_b` is the supersolution pole and the
@@ -79,10 +80,10 @@ def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundCon
     alpha = 1 is accepted as the closure of the formulas: T is then exactly
     1/(1+delta).
 
-    Raises :class:`ConsistencyError` if the directly assembled horizon
-    T = 1/b - (1+eta)d and its closed form
-    c_delta^((1-alpha)/alpha) / (Gamma(2-alpha)^(1/alpha) (1+delta))
-    disagree beyond 1e-10 relative: they are provably equal, so disagreement
+    T is the closed form c_delta^((1-alpha)/alpha) / (Gamma(2-alpha)^(1/alpha) (1+delta)).
+    Raises :class:`ConsistencyError` if the direct 1/b - (1+eta)d, which
+    cancels as delta grows, differs from it by more than 1e-10 / b, the size
+    of the terms it subtracts: the two are provably equal, so disagreement
     means the implementation is wrong. Also raises it when a constant leaves
     double precision: for small alpha (below about 0.0075 at delta = 0.5) d
     underflows or a overflows, so T is below the smallest double; for a
@@ -111,15 +112,15 @@ def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundCon
             f"an intermediate constant over- or underflows"
         ) from exc
     const_b = (1.0 + kappa) * const_a
-    T = 1.0 / const_b - (1.0 + eta) * d
-    if not math.isfinite(T) or T <= 0.0:
-        raise ConsistencyError(f"lower-bound horizon T = {T} is not positive")
-    if abs(T - T_closed) > 1e-10 * abs(T_closed):
+    if not T_closed > 0.0:
+        raise ConsistencyError(f"lower-bound horizon T = {T_closed} is not positive")
+    T_direct = 1.0 / const_b - (1.0 + eta) * d
+    if not abs(T_direct - T_closed) <= 1e-10 / const_b:
         raise ConsistencyError(
-            f"lower-bound horizon mismatch: direct {T!r} vs closed form {T_closed!r} "
+            f"lower-bound horizon mismatch: direct {T_direct!r} vs closed form {T_closed!r} "
             f"(alpha={a}, delta={delta})"
         )
-    return LowerBoundConstants(a, delta, kappa, eta, d, const_a, const_b, T, c_delta)
+    return LowerBoundConstants(a, delta, kappa, eta, d, const_a, const_b, T_closed, c_delta)
 
 
 def lower_bound_T(order: FractionalOrder, delta: float) -> float:

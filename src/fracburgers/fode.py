@@ -29,8 +29,6 @@ from .frac_ops import (
     LagTables,
     SampledFunction,
     TimeGrid,
-    _power_increments,
-    _pt_weights,
     rl_fractional_integral,
 )
 from .specfun import gamma
@@ -118,13 +116,26 @@ class SolverConfig:
         object.__setattr__(self, "corrector_sweeps", int(self.corrector_sweeps))
 
 
+def check_termination(status: str, escape_index: int | None, count: int) -> None:
+    """Refuse a termination that no march of `count` kept steps gives.
+
+    An escaped march sets `escape_index` to `count` if it kept the offending
+    value, or to `count` + 1 if that value overflowed; a completed one sets none.
+    """
+    if status not in ("completed", "escaped"):
+        raise ValueError(f"status must be 'completed' or 'escaped', got {status!r}")
+    if escape_index not in ((count, count + 1) if status == "escaped" else (None,)):
+        raise ValueError(f"escape_index {escape_index!r} does not fit status {status!r} after {count} steps")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A solved sampled function plus its termination status.
 
     If status is "escaped", samples run up to and including the first node
     whose value exceeds the escape threshold (or up to the last finite node
-    if the offending value overflowed to non-finite).
+    if the offending value overflowed to non-finite, in which case
+    escape_index points one past the retained samples).
     """
 
     samples: SampledFunction
@@ -132,10 +143,7 @@ class Trajectory:
     escape_index: int | None = None
 
     def __post_init__(self) -> None:
-        if self.status not in ("completed", "escaped"):
-            raise ValueError(f"status must be 'completed' or 'escaped', got {self.status!r}")
-        if (self.status == "escaped") != (self.escape_index is not None):
-            raise ValueError("escape_index must be set exactly when status is 'escaped'")
+        check_termination(self.status, self.escape_index, self.samples.grid.count)
 
     @property
     def times(self) -> np.ndarray:
@@ -248,11 +256,6 @@ def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajec
     return _finish(values, h, None)
 
 
-def _march_tables(alpha: float) -> LagTables:
-    """The predictor and corrector weight rows of the fractional march at order alpha."""
-    return LagTables(lambda m: np.stack((_power_increments(alpha, m), _pt_weights(alpha, m))))
-
-
 def _solve_fractional(
     f: Nonlinearity, v0: float, order: FractionalOrder, config: SolverConfig, tables: LagTables
 ) -> Trajectory:
@@ -300,14 +303,14 @@ def solve(
 
     Terminates at the horizon or at the first node whose value exceeds the
     escape threshold, whichever comes first. The fractional march reads its
-    weights from `_tables` (:func:`_march_tables` of the same alpha), which
-    :func:`estimate_blowup` shares between its rungs; left out, the march
-    builds its own.
+    weights from `_tables` (:meth:`LagTables.predictor_corrector` of the same
+    alpha), which :func:`estimate_blowup` shares between its rungs; left out,
+    the march builds its own.
     """
     v0 = _validate(f, v0, config)
     if order.is_classical:
         return _solve_classical(f, v0, config)
-    tables = _march_tables(order.alpha) if _tables is None else _tables
+    tables = LagTables.predictor_corrector(order.alpha) if _tables is None else _tables
     return _solve_fractional(f, v0, order, config, tables)
 
 
@@ -354,9 +357,10 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     step-halving difference. No growth-rate model is assumed.
 
     Every rung marches at the same alpha, so all of them read one set of
-    weight tables (:class:`frac_ops.LagTables`), built for this call and
-    grown to the largest rung's needs; the sums are bit-identical to those
-    of marches on tables of their own. The estimate keeps one
+    weight tables (:meth:`frac_ops.LagTables.predictor_corrector`), built for
+    this call: each block level's spectrum is computed once, by the first
+    rung that reaches the level, and the sums are bit-identical to those of
+    marches on tables of their own. The estimate keeps one
     :class:`RungRecord` per rung, from which its trace is derived.
 
     Every rung's grid is checked before the first march; a refused rung
@@ -395,7 +399,7 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
                 f"halved {i} times; refinements {refinements}) is refused: {exc}"
             ) from exc
 
-    tables = _march_tables(order.alpha)
+    tables = LagTables.predictor_corrector(order.alpha)
     records: list[RungRecord] = []
     for rung in rungs:
         start = perf_counter()

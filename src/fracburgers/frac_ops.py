@@ -23,8 +23,9 @@ sum in O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
 and target is still summed once, with no history compression and no
 windowing, on buffers that grow with the march. Its weight tables live in a
-:class:`LagTables`, which marches at one order share and which grows to the
-largest of them.
+:class:`LagTables`, which marches of one weight kind share: it builds each
+block level's spectrum from exactly that level's lags, the first time a
+march reaches the level.
 :func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
 in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
@@ -206,51 +207,42 @@ class LagTables:
     """The weight tables of one weight kind, shared by every :class:`LaggedSum` built on them.
 
     ``weights(m)`` returns w_1..w_m, as one row or as several rows (shape
-    (rows, m)); its entries must depend on the lag k alone, not on m, so that
-    a table of any length holds the same values. The object holds the three
-    things a march reads and never writes: the lag table, the near slices
-    w_r..w_1 of the direct part, and one spectrum per block level. Marches
-    read them through :class:`LaggedSum`; marches of one weight kind (the
-    rungs of a blow-up ladder) share one object, so each table is computed
-    once for all of them.
-
-    Everything grows with the largest request: the lag table fourfold from
-    1024 lags, capped at 2 * the capacity of the march that asks (it never
-    shrinks, since a march asks for at most 2 * capacity - 1 lags), the near
-    slices once, at the first march, and the spectra per level reached. A
-    spectrum reads lags 1..2L-1 only, so it is the same whichever march adds
-    it.
+    (rows, m)); its entries must depend on the lag k alone, not on m. The
+    object memoizes what marches read and never write: the near slices
+    w_r..w_1 of the direct part (`near`, from ``weights(B - 1)``) and one
+    spectrum per block level L (from ``weights(2L - 1)``, at the first
+    request). Its contents depend only on the levels reached, so marches of
+    one weight kind (the rungs of a blow-up ladder) share one object and
+    compute each table once. The package's weight kinds are
+    :meth:`predictor_corrector` (fode) and :meth:`l1` (pde).
     """
 
-    __slots__ = ("_weights", "_table", "_near", "_spectra")
+    __slots__ = ("_weights", "near", "_spectra")
 
     def __init__(self, weights: Callable[[int], np.ndarray]):
         self._weights = weights
-        self._table = np.empty(0)
-        self._near: list[np.ndarray] = []
+        near = np.ascontiguousarray(weights(_BLOCK - 1)[..., ::-1])  # w_{B-1}..w_1
+        # w_r..w_1 for r = 0..B-1, each C-contiguous (a copy for several weight rows)
+        self.near = [np.ascontiguousarray(near[..., _BLOCK - 1 - r :]) for r in range(_BLOCK)]
         self._spectra: list[np.ndarray] = []  # level l: (rows, B 2^l + 1, 1)
 
-    def lags(self, count: int, capacity: int) -> np.ndarray:
-        """w_1..w_count from the cached table, grown for a march of `capacity` when too short."""
-        if count > self._table.shape[-1]:
-            grown = min(max(4 * self._table.shape[-1], 1024), 2 * capacity)
-            self._table = np.asarray(self._weights(max(count, grown)), dtype=float)
-        return self._table[..., :count]
+    @classmethod
+    def predictor_corrector(cls, alpha: float) -> "LagTables":
+        """The product-rectangle and product-trapezoid rows of the fractional Volterra march."""
+        return cls(lambda m: np.stack((_power_increments(alpha, m), _pt_weights(alpha, m))))
 
-    def near_slices(self, capacity: int) -> list[np.ndarray]:
-        """w_r..w_1 for r = 0..B-1, each C-contiguous (a copy for several weight rows)."""
-        if not self._near:
-            near = np.ascontiguousarray(self.lags(_BLOCK - 1, capacity)[..., ::-1])  # w_{B-1}..w_1
-            self._near = [np.ascontiguousarray(near[..., _BLOCK - 1 - r :]) for r in range(_BLOCK)]
-        return self._near
+    @classmethod
+    def l1(cls, alpha: float) -> "LagTables":
+        """The L1 weights b_1..b_m of the Caputo march, on past increments."""
+        return cls(lambda m: _power_increments(1.0 - alpha, m + 1)[1:])
 
-    def spectrum(self, level: int, capacity: int) -> np.ndarray:
+    def spectrum(self, level: int) -> np.ndarray:
         """The spectrum of the lags of block level `level`, shape (rows, L + 1, 1)."""
         if level == len(self._spectra):  # a march reaches its levels in increasing order
             size = _BLOCK << level
             # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
             # rotated by one lag, so the block outputs are read one index early
-            spectrum = np.fft.rfft(self.lags(2 * size - 1, capacity), 2 * size)
+            spectrum = np.fft.rfft(self._weights(2 * size - 1), 2 * size)
             self._spectra.append(spectrum.reshape(-1, size + 1, 1))
         return self._spectra[level]
 
@@ -299,7 +291,7 @@ class LaggedSum:
         self._capacity = capacity
         # the near part of s_n dots the last r = n mod B lags with g_{n-r}..g_{n-1};
         # the list is bound here so that value() reads it in one hop
-        self._near = tables.near_slices(capacity)
+        self._near = tables.near
         rows = min(capacity, _BLOCK)
         self._history = np.zeros((rows, *shape))
         weight_rows = self._near[0].shape[:-1]
@@ -350,7 +342,7 @@ class LaggedSum:
             self._history.resize((rows, *self._history.shape[1:]), refcheck=False)
             if self._far is not self._history:
                 self._far.resize((rows, *self._far.shape[1:]), refcheck=False)
-        spectrum = self._tables.spectrum(level, self._capacity)  # (rows, L + 1, 1): read one index early
+        spectrum = self._tables.spectrum(level)  # (rows, L + 1, 1): read one index early
         block = self._history[s - size : s].reshape(size, -1)
         far = self._far[s : s + count].reshape(count, len(spectrum), -1)
         chunk = max(1, _FFT_ENTRIES // (size + 1))

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fode import Trajectory
-from .frac_ops import FractionalOrder, LaggedSum, LagTables, TimeGrid, _power_increments
+from .fode import Trajectory, check_termination
+from .frac_ops import FractionalOrder, LaggedSum, LagTables, TimeGrid
 from .specfun import gamma
 
 __all__ = [
@@ -137,9 +137,9 @@ class FieldHistory:
     time: TimeGrid
     x: np.ndarray = field(repr=False)
     slices: np.ndarray = field(repr=False)  # shape (time.count + 1, len(x))
-    order: FractionalOrder = FractionalOrder(1.0)
-    status: str = "completed"
-    escape_index: int | None = None
+    order: FractionalOrder
+    status: str
+    escape_index: int | None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -148,8 +148,7 @@ class FieldHistory:
             raise ValueError(f"slices shape {s.shape} does not match grids")
         if not np.all(np.isfinite(s)):
             raise ValueError("every retained slice must be finite")
-        if self.status not in ("completed", "escaped"):
-            raise ValueError(f"status must be 'completed' or 'escaped', got {self.status!r}")
+        check_termination(self.status, self.escape_index, self.time.count)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "slices", s)
 
@@ -193,7 +192,7 @@ def _march(
     cfl_scale = h ** alpha / (g2 * dx)
 
     # L1 weights b_1..b_m on the past slice differences u^(n-k) - u^(n-k-1)
-    memory = LaggedSum(LagTables(lambda m: _power_increments(1.0 - alpha, m + 1)[1:]), n_steps, x.shape)
+    memory = LaggedSum(LagTables.l1(alpha), n_steps, x.shape)
     # the retained slices: up to _RESERVED_BYTES of rows up front, doubled in
     # place when the march fills them (up to n_steps + 1 rows) and shrunk in
     # place to the slices kept, so nothing scales with horizon / step; no view

@@ -116,18 +116,13 @@ class TestLowerBoundConstants:
         assert lower_bound_T(FO(0.5), 0.5) == pytest.approx(T_A05_D05, rel=1e-12)
 
     def test_two_expressions_agree_on_grid(self):
-        # direct assembly vs closed form, 20x20 grid, relative 1e-10
-        import math
-
-        from fracburgers.specfun import log_gamma
-
+        # the returned closed form vs direct assembly from the constants, 20x20
+        # grid: at most 2.9e-14 relative where delta is moderate
         for a in np.linspace(0.05, 0.95, 20):
             for delta in np.linspace(0.1, 5.0, 20):
                 c = lower_bound_constants(FO(a), delta)
-                closed = math.exp(
-                    ((1.0 - a) / a) * math.log(c.c_delta) - log_gamma(2.0 - a) / a
-                ) / (1.0 + delta)
-                assert abs(c.T - closed) <= 1e-10 * abs(closed)
+                direct = 1.0 / c.b - (1.0 + c.eta) * c.d
+                assert abs(c.T - direct) <= 1e-13 * c.T
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
@@ -144,8 +139,10 @@ class TestLowerBoundConstants:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     def test_small_and_large_delta_match_mpmath(self, alpha):
-        # sqrt(1 + delta) - 1 cancels for small delta; the constants must not
+        # sqrt(1 + delta) - 1 cancels for small delta, and the direct
+        # 1/b - (1+eta)d from delta of about 1e12 on; the constants must not
         deltas = [m * 10.0 ** e for e in range(-15, 1) for m in (1.0, 3.0)] + [0.5, 10.0]
+        deltas += [10.0 ** e for e in (12, 13, 15, 20, 30, 50, 75, 100)]
         with mp.workdps(50):
             a = mp.mpf(alpha)
             for delta in deltas:
@@ -156,6 +153,16 @@ class TestLowerBoundConstants:
                 T = c_delta ** ((1 - a) / a) / (mp.gamma(2 - a) ** (1 / a) * (1 + mp.mpf(delta)))
                 for got, want in ((c.kappa, kappa), (c.eta, eta), (c.T, T)):
                     assert abs(got - want) <= 1e-12 * abs(want), (delta, got, want)
+                if alpha == 1.0:
+                    assert c.T == 1.0 / (1.0 + delta)
+
+    def test_closed_form_moves_the_direct_one_by_roundoff(self):
+        # T was the direct form up to its closed-form check; the two differ by
+        # at most 7.1e-15 relative at the default delta
+        for a in np.linspace(0.05, 1.0, 39):
+            c = lower_bound_constants(FO(a), 0.5)
+            direct = 1.0 / c.b - (1.0 + c.eta) * c.d
+            assert abs(c.T - direct) <= 1e-14 * c.T
 
     @pytest.mark.parametrize("delta", [5e-324, 1e-300, 1e200, 1e300])
     def test_delta_whose_constants_leave_double_precision_raises(self, delta):

@@ -128,6 +128,14 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: lower-bound constants leave double precision") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("alpha", ["0.3", "0.5", "1"])
+    @pytest.mark.parametrize("delta", ["1e12", "1e50", "1e100"])
+    def test_huge_delta_exits_0(self, capsys, alpha, delta):
+        rc, report = run_json(capsys, ["bounds", "--alpha", alpha, "--delta", delta])
+        assert rc == 0
+        assert report["lower_bound"] == lower_bound_T(FractionalOrder(float(alpha)), float(delta))
+        assert 0.0 < report["lower_bound"] < report["upper_bound"]
+
     def test_tiny_delta_exits_0(self, capsys):
         rc, report = run_json(capsys, ["bounds", "--alpha", "0.5", "--delta", "1e-16"])
         assert rc == 0

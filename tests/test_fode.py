@@ -231,17 +231,18 @@ class TestSolve:
 
     def test_tables_follow_the_march_not_the_horizon(self, monkeypatch):
         # alpha = 0.3 escapes after 228 of the 17000 steps to the horizon
+        # and reaches block level 0 only: lags up to 2B - 1 = 255
         sizes = []
-        original = fode._power_increments
+        original = frac_ops._power_increments
 
         def recording(p, count):
             sizes.append(count)
             return original(p, count)
 
-        monkeypatch.setattr(fode, "_power_increments", recording)
+        monkeypatch.setattr(frac_ops, "_power_increments", recording)
         traj = solve(SQUARE, 1.0, FractionalOrder(0.3), SolverConfig(1e-4, 1.7))
         assert traj.escape_index == 228
-        assert max(sizes) <= 1024
+        assert max(sizes) <= 255
 
     def test_escape_semantics(self):
         order = FractionalOrder(0.5)
@@ -359,19 +360,23 @@ class TestBlowupEstimate:
         assert {c.escape_threshold for c in calls} == {1e10}
         assert len(est.refinement_trace) == 3 * (refinements + 1)
 
-    @pytest.mark.parametrize("alpha, growth", [(0.5, [1024, 4096]), (0.9, [1024, 4096, 16384])])
+    @pytest.mark.parametrize(
+        "alpha, growth",
+        [(0.5, [127, 255, 511, 1023, 2047]), (0.9, [127, 255, 511, 1023, 2047, 4095, 8191])],
+    )
     def test_weight_table_built_once_per_growth_step(self, monkeypatch, alpha, growth):
-        # the four rungs share one set of tables: each table length is computed
-        # once, where a march per rung on tables of its own computes 1024 lags
-        # four times over
+        # the four rungs share one set of tables: the near lags B - 1 once, and
+        # the lags 2L - 1 of each block level L once, by the first rung that
+        # reaches it, where a march per rung on tables of its own computes the
+        # near lags and the low levels four times over
         asked = []
-        original = fode._pt_weights
+        original = frac_ops._pt_weights
 
         def counting(a, m):
             asked.append(m)
             return original(a, m)
 
-        monkeypatch.setattr(fode, "_pt_weights", counting)
+        monkeypatch.setattr(frac_ops, "_pt_weights", counting)
         estimate_blowup(FractionalOrder(alpha), SolverConfig(8e-4, 1.7))
         assert asked == growth
 
@@ -385,7 +390,7 @@ class TestBlowupEstimate:
         configs = [SolverConfig(1e-3, 1.5), SolverConfig(2.5e-4, 1.5)]
         if order_of_rungs == "fine first":
             configs.reverse()
-        tables = fode._march_tables(alpha)
+        tables = frac_ops.LagTables.predictor_corrector(alpha)
         for config in configs:
             shared = solve(capped, 1.0, order, config, _tables=tables)
             fresh = solve(capped, 1.0, order, config)

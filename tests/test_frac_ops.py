@@ -421,7 +421,7 @@ class TestLaggedSum:
                 # with the bits of the far row plus the near dot as ndarrays
                 assert type(got) is float if kind == "scalar" else [type(x) for x in got] == [float, float]
                 r = n % B
-                bits = memory._far[n] + np.dot(tables._near[r], memory._history[n - r : n])
+                bits = memory._far[n] + np.dot(tables.near[r], memory._history[n - r : n])
                 assert np.asarray(got).tobytes() == bits.tobytes()
                 got = np.asarray(got)
             assert got.shape == want.shape
@@ -445,11 +445,10 @@ class TestLaggedSum:
         memory = frac_ops.LaggedSum(tables, capacity)
         for _ in range(appends):
             memory.append(1.0)
-        # one table serves every level reached: fourfold growth starts at
-        # 1024 lags and stops at 2 * capacity
-        assert asked == [min(1024, 2 * capacity)]
-        # the spectrum of the largest level L reached reads lags up to 2L - 1
-        assert 2 * (tables._spectra[-1].shape[1] - 1) - 1 == longest
+        # the near lags B - 1, then the lags 2L - 1 of each level L reached,
+        # each once: the level of 4B entries, not the capacity, bounds them
+        assert asked == [B - 1] + [2 * (B << level) - 1 for level in range(len(tables._spectra))]
+        assert asked[-1] == longest
 
     @pytest.mark.parametrize("capacities", [(300, 3000), (3000, 300)])
     def test_shared_tables_give_the_bits_of_fresh_ones(self, capacities):
@@ -465,6 +464,31 @@ class TestLaggedSum:
             sums = []
             for tables in (shared, frac_ops.LagTables(weights)):
                 memory = frac_ops.LaggedSum(tables, capacity, (3,))
+                values = []
+                for row in g[:-1]:
+                    memory.append(row)
+                    values.append(memory.value())
+                sums.append(np.array(values).tobytes())
+            assert sums[0] == sums[1]
+
+    @settings(max_examples=10)
+    @given(
+        kind=st.sampled_from(["predictor_corrector", "l1"]),
+        alpha=st.floats(0.05, 0.95),
+        lengths=st.lists(st.integers(1, 3000), min_size=1, max_size=4),
+    )
+    def test_marches_of_any_lengths_share_tables_bit_for_bit(self, kind, alpha, lengths):
+        # the fode weight kind on scalar histories, the pde one on rows: each
+        # march reads levels the earlier ones added, or adds its own
+        make = getattr(frac_ops.LagTables, kind)
+        shape = () if kind == "predictor_corrector" else (3,)
+        rng = np.random.default_rng(len(lengths))
+        shared = make(alpha)
+        for length in lengths:
+            g = rng.standard_normal((length, *shape))
+            sums = []
+            for tables in (shared, make(alpha)):
+                memory = frac_ops.LaggedSum(tables, length, shape)
                 values = []
                 for row in g[:-1]:
                     memory.append(row)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracburgers import frac_ops, pde
+from fracburgers import fode, frac_ops, pde
 from fracburgers import (
     BoundaryRule,
     CflError,
@@ -84,6 +84,31 @@ class TestTypes:
             MarketParams(rho_max=0.0)
         with pytest.raises(ValueError):
             MarketParams(c_tilde=-1.0)
+
+    @staticmethod
+    def _result(kind, status, escape_index):
+        """A march result of two steps: a scalar trajectory or an 8-cell field."""
+        grid = TimeGrid(0.1, 2)
+        if kind == "trajectory":
+            return fode.Trajectory(frac_ops.SampledFunction(grid, np.zeros(3)), status, escape_index)
+        space = SpatialGrid(0.0, 1.0, 8)
+        x = space.nodes(periodic=True)
+        return pde.FieldHistory(space, grid, x, np.zeros((3, x.size)), FO(0.5), status, escape_index)
+
+    @pytest.mark.parametrize("kind", ["trajectory", "field"])
+    @pytest.mark.parametrize("status, escape_index", [("completed", None), ("escaped", 2), ("escaped", 3)])
+    def test_escape_rule_accepts(self, kind, status, escape_index):
+        # the offending value kept (index = count) or overflowed and dropped (count + 1)
+        assert self._result(kind, status, escape_index).escape_index == escape_index
+
+    @pytest.mark.parametrize("kind", ["trajectory", "field"])
+    @pytest.mark.parametrize(
+        "status, escape_index",
+        [("escaped", None), ("completed", 2), ("completed", 7), ("escaped", 1), ("escaped", 4), ("escaped", 99), ("done", None)],
+    )
+    def test_escape_rule_refuses(self, kind, status, escape_index):
+        with pytest.raises(ValueError):
+            self._result(kind, status, escape_index)
 
 
 class TestFixedPoints:
