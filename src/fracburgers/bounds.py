@@ -18,6 +18,7 @@ no bare `b` is exposed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,13 @@ class LowerBoundConstants:
     c_delta: float
 
 
+def _outside_double_precision(alpha: float, delta: float) -> ConsistencyError:
+    return ConsistencyError(
+        f"lower-bound constants leave double precision (alpha={alpha}, delta={delta}): "
+        f"an intermediate constant over- or underflows"
+    )
+
+
 def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundConstants:
     """Compute the subsolution constants and cross-check the two T formulas.
 
@@ -88,7 +96,9 @@ def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundCon
     double precision: for small alpha (below about 0.0075 at delta = 0.5) d
     underflows or a overflows, so T is below the smallest double; for a
     delta far from 1 (1e-300 or 1e200, say) eta or c_delta over- or
-    underflows.
+    underflows. A d or T below the smallest normal double (subnormal, with
+    digits lost, as at alpha = 0.05 with delta = 1e-5 or 1e31) counts as
+    leaving it too.
     """
     a = order.alpha
     delta = float(delta)
@@ -107,13 +117,11 @@ def lower_bound_constants(order: FractionalOrder, delta: float) -> LowerBoundCon
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         # log(0) of an underflowed d (T is then below the smallest double), or
         # eta or c_delta out of range at an extreme delta
-        raise ConsistencyError(
-            f"lower-bound constants leave double precision (alpha={a}, delta={delta}): "
-            f"an intermediate constant over- or underflows"
-        ) from exc
+        raise _outside_double_precision(a, delta) from exc
+    if not min(d, T_closed) >= sys.float_info.min:
+        # a subnormal d or T has lost digits, or T underflowed to 0
+        raise _outside_double_precision(a, delta)
     const_b = (1.0 + kappa) * const_a
-    if not T_closed > 0.0:
-        raise ConsistencyError(f"lower-bound horizon T = {T_closed} is not positive")
     T_direct = 1.0 / const_b - (1.0 + eta) * d
     if not abs(T_direct - T_closed) <= 1e-10 / const_b:
         raise ConsistencyError(

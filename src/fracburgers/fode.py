@@ -12,6 +12,8 @@ The march sums the history g_j = f(v_j) - f(v_0) in one frac_ops.LaggedSum
 with two weight rows, predictor and corrector (full sums, exact blocked-FFT
 reordering, no windowing: the memory term is the object under study), and
 adds f(v_0) through the closed-form weight sums of the rules on constants.
+It walks the sum one base block at a time (LaggedSum.blocks), in one tight
+loop per block with no method call per step.
 """
 
 from __future__ import annotations
@@ -269,30 +271,38 @@ def _solve_fractional(
 
     # The history holds f(v_j) - f(v_0); f(v_0) enters target n + 1 through
     # the weight sums on constants, (n+1)^alpha and (alpha+1) (n+1)^alpha less
-    # the corrector's weight 1 on f(v_{n+1}). The memory sums arrive as Python
-    # floats, and the bound methods below keep the per-step scalar work cheap.
+    # the corrector's weight 1 on f(v_{n+1}). The memory sums are walked one
+    # base block of targets at a time: step n reads target n + 1 as the
+    # block's far sums, Python floats, plus the near dot over the block's
+    # entries before it, and writes g_{n+1} after it.
     rhs = f.fn
+    near = tables.near
     sums = LaggedSum(tables, n_steps + 1)
     f0 = float(rhs(v0))
     pred_f0 = c_pred * f0
     corr_f0 = (alpha + 1.0) * f0
-    sums.append(0.0)
     values = [v0]
-    memory, remember, keep = sums.value, sums.append, values.append
-    for n in range(n_steps):
-        pred, corr = memory()
-        p = (n + 1.0) ** alpha
-        vp = v0 + c_pred * pred + pred_f0 * p
-        hist = corr + (corr_f0 * p - f0)
-        vn = vp
-        for _ in sweeps:
-            vn = v0 + c_corr * (hist + rhs(vn))
-        if not abs(vn) <= threshold:  # past the finite threshold, or NaN: escaped
-            if math.isfinite(vn):  # a non-finite value is not kept
-                keep(vn)
-            return _finish(values, h, n + 1)
-        keep(vn)
-        remember(rhs(vn) - f0)
+    keep = values.append
+    for b0, far, history in sums.blocks():
+        if not b0:
+            history[0] = 0.0  # g_0
+        for n in range(max(b0 - 1, 0), b0 + len(far) - 1):
+            r = n + 1 - b0
+            (pred, corr), (pred_near, corr_near) = far[r], near[r].dot(history[b0 : n + 1]).tolist()
+            pred += pred_near
+            corr += corr_near
+            p = (n + 1.0) ** alpha
+            vp = v0 + c_pred * pred + pred_f0 * p
+            hist = corr + (corr_f0 * p - f0)
+            vn = vp
+            for _ in sweeps:
+                vn = v0 + c_corr * (hist + rhs(vn))
+            if not abs(vn) <= threshold:  # past the finite threshold, or NaN: escaped
+                if math.isfinite(vn):  # a non-finite value is not kept
+                    keep(vn)
+                return _finish(values, h, n + 1)
+            keep(vn)
+            history[n + 1] = rhs(vn) - f0
     return _finish(values, h, None)
 
 

@@ -18,11 +18,13 @@ weight is tabulated: the product rules are exact on constants, so callers
 sum g - g(t_0) and add g(t_0) times the closed-form weight sum.
 
 The marching solvers (fode, pde) take their memory terms from one
-incremental primitive, :class:`LaggedSum`, which evaluates the full O(N^2)
-sum in O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
+primitive, :class:`LaggedSum`, which evaluates the full O(N^2) sum in
+O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
 and target is still summed once, with no history compression and no
-windowing, on buffers that grow with the march. Its weight tables live in a
+windowing, on buffers that grow with the march. A march walks it one base
+block of targets at a time (:meth:`LaggedSum.blocks`), so that its inner
+loop makes no call into it per step. Its weight tables live in a
 :class:`LagTables`, which marches of one weight kind share: it builds each
 block level's spectrum from exactly that level's lags, the first time a
 march reaches the level.
@@ -38,9 +40,8 @@ fixed-shape arrays, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -248,16 +249,15 @@ class LagTables:
 
 
 class LaggedSum:
-    """Running lagged sum s_n = sum_{k=1}^{n} w_k g_{n-k} over a growing history.
+    """Lagged sums s_n = sum_{k=1}^{n} w_k g_{n-k} over a history the caller writes.
 
-    The history g_0, g_1, ... gains one entry per step (a scalar, or a row of
-    the given shape), up to `capacity` entries, and :meth:`value` gives s_n
-    for n < capacity, the sums a march reads before each append; the last
-    entry is kept but feeds no sum. The weights w_k come from `tables`
-    (:class:`LagTables`), one row or several; with several rows,
-    :meth:`value` returns one sum per row. A scalar history sums to Python
-    floats, a row history to an ndarray. An empty history sums to 0. Every
-    marching scheme in the package takes its memory term from here.
+    The history g_0, g_1, ... holds up to `capacity` entries (scalars, or
+    rows of the given shape), and every target n < capacity reads s_n before
+    g_n is written; the last entry is kept but feeds no sum. The weights w_k
+    come from `tables` (:class:`LagTables`), one row or several; with several
+    rows there is one sum per row. An empty history sums to 0. Every
+    marching scheme in the package takes its memory term from here, through
+    one driver, :meth:`blocks`.
 
     The sum is the full one, reordered exactly in dyadic blocks (Hairer,
     Lubich & Schlichte 1985) so that n steps cost O(n log^2 n) instead of
@@ -278,54 +278,46 @@ class LaggedSum:
     the upper limit: both start at min(capacity, B) rows and double in place
     at a flush. With one weight row the far sums of future targets live in
     the history buffer's not-yet-written slots (slot n holds far[n] until g_n
-    overwrites it), so they cost no memory of their own. A scalar history also
-    copies the far sums of the current base block into one Python list at each
-    flush, so that :meth:`value` adds floats; a row history keeps the ndarray
-    add, which costs less than refreshing a list of rows at every flush.
+    overwrites it), so they cost no memory of their own.
     """
 
-    __slots__ = ("_tables", "_capacity", "_near", "_history", "_far", "_far_block", "_size")
+    __slots__ = ("_tables", "_capacity", "_history", "_far")
 
     def __init__(self, tables: LagTables, capacity: int, shape: tuple[int, ...] = ()):
         self._tables = tables
         self._capacity = capacity
-        # the near part of s_n dots the last r = n mod B lags with g_{n-r}..g_{n-1};
-        # the list is bound here so that value() reads it in one hop
-        self._near = tables.near
         rows = min(capacity, _BLOCK)
         self._history = np.zeros((rows, *shape))
-        weight_rows = self._near[0].shape[:-1]
+        weight_rows = tables.near[0].shape[:-1]
         self._far = np.zeros((rows, *weight_rows, *shape)) if weight_rows else self._history
-        # scalar histories: the far sums of the current base block as Python floats
-        self._far_block = None if shape else self._far[:_BLOCK].tolist()
-        self._size = 0
 
-    def append(self, g) -> None:
-        s = self._size
-        self._history[s] = g
-        self._size = s = s + 1
-        if s % _BLOCK == 0:
-            self._flush(s)
-            if self._far_block is not None:  # targets s..s+B-1 receive no later block
-                self._far_block = self._far[s : s + _BLOCK].tolist()
+    def blocks(self) -> Iterator[tuple[int, list | np.ndarray, np.ndarray]]:
+        """Walk the targets one base block at a time: yields (b0, far, history).
 
-    def value(self):
-        """s_n for the n entries appended so far.
+        One tuple per base block b0 = 0, B, 2B, ... below `capacity`; its
+        targets are n = b0 .. b0 + len(far) - 1. The caller takes them in
+        order, reads s_n = far[n - b0] + tables.near[n - b0] . history[b0:n]
+        and then writes g_n into history[n]. Every block that reaches these
+        targets has been added to `far` before the block starts, so the
+        walk needs no call per target; resuming it after the block's last
+        target adds the block that ends there (:meth:`_flush`) and yields the
+        next one. A march that stops early abandons the walk.
 
-        A row history gives an ndarray, one sum per weight row and history
-        column. A scalar history gives Python floats: one float for one
-        weight row, a list of one float per row for several. Each is the far
-        sum plus the near dot, the same IEEE addition an ndarray add makes,
-        so the float sums carry the bits of the ndarray ones.
+        `history` is the buffer itself, which a flush resizes in place: the
+        caller keeps no view of it across blocks. `far` is a copy of the
+        block's far sums: for a scalar history a list of Python floats (one
+        float per target for one weight row, a list of floats for several),
+        so that the march adds floats, each far sum plus the near dot being
+        the same IEEE addition an ndarray add makes; for a row history an
+        ndarray of the block's rows.
         """
-        s = self._size
-        r = s % _BLOCK
-        near = self._near[r].dot(self._history[s - r : s])
-        if self._far_block is None:
-            return self._far[s] + near
-        if near.ndim:
-            return list(map(operator.add, self._far_block[r], near.tolist()))
-        return self._far_block[r] + near.tolist()
+        scalar = self._history.ndim == 1
+        for b0 in range(0, self._capacity, _BLOCK):
+            if b0:
+                self._flush(b0)
+            far = self._far[b0 : b0 + _BLOCK]
+            far = far.tolist() if scalar else far.copy()  # no view outlives the yield
+            yield b0, far, self._history
 
     def _flush(self, s: int) -> None:
         """Add the block of L entries ending at s to the far sums of targets s..s+L-1."""
@@ -333,8 +325,6 @@ class LaggedSum:
         level = (blocks & -blocks).bit_length() - 1
         size = _BLOCK << level
         count = min(size, self._capacity - s)
-        if count == 0:  # the last entry: no sum reads it
-            return
         if len(self._history) < s + count:
             # one doubling reaches s + count, since a block is never longer
             # than the history before it; nothing holds a view of the buffers here

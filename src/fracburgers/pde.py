@@ -8,7 +8,8 @@ images of one another under u = 2 rho - 1, so the two solvers agree to
 roundoff on transformed data.
 
 The L1 history sum of every node comes from one frac_ops.LaggedSum over the
-past slice differences: the full sum, reordered exactly into blocked FFTs, so
+past slice differences, walked one base block of steps at a time
+(LaggedSum.blocks): the full sum, reordered exactly into blocked FFTs, so
 N steps on M nodes cost O(M N log^2 N) instead of O(M N^2). The far sums of
 future steps wait in the history buffer's not-yet-written rows and the block
 transforms run on column chunks, so the march needs about the memory of the
@@ -191,8 +192,11 @@ def _march(
     dt_eff = g2 * h ** alpha
     cfl_scale = h ** alpha / (g2 * dx)
 
-    # L1 weights b_1..b_m on the past slice differences u^(n-k) - u^(n-k-1)
-    memory = LaggedSum(LagTables.l1(alpha), n_steps, x.shape)
+    # L1 weights b_1..b_m on the past slice differences u^(n-k) - u^(n-k-1):
+    # step n reads the memory sum of target s = n - 1 and writes its difference there
+    tables = LagTables.l1(alpha)
+    near = tables.near
+    memory = LaggedSum(tables, n_steps, x.shape)
     # the retained slices: up to _RESERVED_BYTES of rows up front, doubled in
     # place when the march fills them (up to n_steps + 1 rows) and shrunk in
     # place to the slices kept, so nothing scales with horizon / step; no view
@@ -209,36 +213,38 @@ def _march(
     # a slice that overflows ends the march below, as an escape or as the
     # first-step error, so numpy's overflow warnings are not raised
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            prev = slices[n - 1]
-            speeds = speed(prev)
-            ratio = cfl_scale * float(speeds.max())
-            if ratio > 0.5 + 1e-12:
-                raise CflError(int(np.argmax(speeds)), n, ratio)
+        for b0, far, history in memory.blocks():
+            for s in range(b0, b0 + len(far)):
+                n = s + 1
+                prev = slices[s]
+                speeds = speed(prev)
+                ratio = cfl_scale * float(speeds.max())
+                if ratio > 0.5 + 1e-12:
+                    raise CflError(int(np.argmax(speeds)), n, ratio)
 
-            hist = memory.value()
-            if periodic:
-                # periodic neighbours by concatenation: np.roll costs several times more
-                f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])), flux, s_min)
-                div = (f_right - np.concatenate((f_right[-1:], f_right[:-1]))) / dx
-                new = prev - hist - dt_eff * div
-            else:
-                f_iface = _godunov_flux(prev[:-1], prev[1:], flux, s_min)
-                new = np.empty_like(prev)
-                t_n = n * h
-                new[0] = bc.callback(spatial.x_min, t_n)
-                new[-1] = bc.callback(spatial.x_max, t_n)
-                new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
+                hist = far[s - b0] + near[s - b0].dot(history[b0:s])
+                if periodic:
+                    # periodic neighbours by concatenation: np.roll costs several times more
+                    f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])), flux, s_min)
+                    div = (f_right - np.concatenate((f_right[-1:], f_right[:-1]))) / dx
+                    new = prev - hist - dt_eff * div
+                else:
+                    f_iface = _godunov_flux(prev[:-1], prev[1:], flux, s_min)
+                    new = np.empty_like(prev)
+                    t_n = n * h
+                    new[0] = bc.callback(spatial.x_min, t_n)
+                    new[-1] = bc.callback(spatial.x_max, t_n)
+                    new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
 
-            peak = float(np.abs(new).max())  # NaN and inf carry through the max
-            if not math.isfinite(peak):
-                return finish(n - 1, "escaped", n)
-            memory.append(new - prev)
-            if n == len(slices):
-                slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
-            slices[n] = new
-            if peak > escape_threshold:
-                return finish(n, "escaped", n)
+                peak = float(np.abs(new).max())  # NaN and inf carry through the max
+                if not math.isfinite(peak):
+                    return finish(n - 1, "escaped", n)
+                history[s] = new - prev
+                if n == len(slices):
+                    slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
+                slices[n] = new
+                if peak > escape_threshold:
+                    return finish(n, "escaped", n)
     return finish(n_steps, "completed", None)
 
 

@@ -169,6 +169,13 @@ class TestLowerBoundConstants:
         with pytest.raises(ConsistencyError, match="double precision"):
             lower_bound_constants(FO(0.5), delta)
 
+    @pytest.mark.parametrize("alpha, delta", [(0.05, 1e-5), (0.05, 1e31), (0.035, 1e21), (0.1, 1e59)])
+    def test_subnormal_constants_leave_double_precision(self, alpha, delta):
+        # d (1.3e-318 at alpha 0.05, delta 1e-5) or T (0.0 at 0.1, 1e59) below
+        # the smallest normal double: digits are lost, so no value is returned
+        with pytest.raises(ConsistencyError, match="double precision"):
+            lower_bound_constants(FO(alpha), delta)
+
     def test_sandwich_orders(self):
         for delta in (0.1, 0.5, 1.0, 3.0):
             for a in np.linspace(0.05, 0.95, 15):

@@ -128,6 +128,22 @@ class TestBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: lower-bound constants leave double precision") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("alpha", ["0.05", "0.1"])
+    @pytest.mark.parametrize("exponent", range(-15, 101))
+    def test_every_refused_delta_names_double_precision(self, capsys, alpha, exponent):
+        # at the underflow edge of the lower bound a subnormal d or T has lost
+        # digits: a refusal there is no implementation bug and no sign error
+        rc = main(["bounds", "--alpha", alpha, "--delta", f"1e{exponent}"])
+        err = capsys.readouterr().err
+        assert rc in (0, 3)
+        if rc == 3:
+            assert err.startswith("error: lower-bound constants leave double precision")
+
+    @pytest.mark.parametrize("alpha, delta", [("0.05", "1e-5"), ("0.05", "1e31"), ("0.1", "1e59")])
+    def test_subnormal_constants_exit_3(self, capsys, alpha, delta):
+        assert main(["bounds", "--alpha", alpha, "--delta", delta]) == 3
+        assert "leave double precision" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["0.3", "0.5", "1"])
     @pytest.mark.parametrize("delta", ["1e12", "1e50", "1e100"])
     def test_huge_delta_exits_0(self, capsys, alpha, delta):

@@ -28,6 +28,7 @@ from fracburgers import (
 )
 
 SQUARE = Nonlinearity.square()
+B = frac_ops._BLOCK  # the base block of the memory sum's block walk
 
 
 def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
@@ -229,6 +230,33 @@ class TestSolve:
         ref = _pece_direct(alpha, h, n_steps, sweeps, v0)
         assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
 
+    # marches that end just before, on and just past the first two base
+    # blocks of the memory sum's block walk, over about 40% of the blow-up time
+    @pytest.mark.parametrize("n_steps", [B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+    @pytest.mark.parametrize("alpha, horizon", [(0.3, 0.02), (0.7, 0.4)])
+    def test_matches_direct_scheme_at_block_edges(self, n_steps, alpha, horizon):
+        h = horizon / n_steps
+        traj = solve(SQUARE, 1.0, FractionalOrder(alpha), SolverConfig(h, horizon))
+        assert traj.status == "completed" and traj.values.size == n_steps + 1
+        ref = _pece_direct(alpha, h, n_steps, 1)
+        assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
+
+    # an escape on a block's last target, whose history entry would set off
+    # the flush of the block, and one on the next block's first target
+    @pytest.mark.parametrize("escape", [B - 1, B, 2 * B - 1, 2 * B])
+    def test_escape_at_block_edges(self, escape):
+        alpha, n_steps = 0.7, 2 * B + 1
+        h = 0.4 / n_steps
+        ref = _pece_direct(alpha, h, n_steps, 1)
+        x = 0.5 * (ref[escape - 1] + ref[escape])  # v rises: ref first exceeds x at `escape`
+        assert int(np.flatnonzero(ref > x)[0]) == escape
+        order = FractionalOrder(alpha)
+        traj = solve(SQUARE, 1.0, order, SolverConfig(h, n_steps * h, x))
+        assert traj.status == "escaped" and traj.escape_index == escape
+        assert np.max(np.abs(traj.values - ref[: escape + 1]) / ref[: escape + 1]) <= 1e-13
+        full = solve(SQUARE, 1.0, order, SolverConfig(h, n_steps * h))
+        assert traj.values.tobytes() == full.values[: escape + 1].tobytes()
+
     def test_tables_follow_the_march_not_the_horizon(self, monkeypatch):
         # alpha = 0.3 escapes after 228 of the 17000 steps to the horizon
         # and reaches block level 0 only: lags up to 2B - 1 = 255
@@ -394,6 +422,22 @@ class TestBlowupEstimate:
         for config in configs:
             shared = solve(capped, 1.0, order, config, _tables=tables)
             fresh = solve(capped, 1.0, order, config)
+            assert shared.values.tobytes() == fresh.values.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.6])
+    def test_rung_escaping_mid_block_leaves_shared_tables_intact(self, alpha):
+        # the coarsest rung of the default ladder escapes inside a base block
+        # and abandons its block walk there; the rungs after it, on the same
+        # tables, give the bits of marches on tables of their own
+        order = FractionalOrder(alpha)
+        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        assert est.rungs[0].steps % B not in (0, B - 1)
+        tables = frac_ops.LagTables.predictor_corrector(alpha)
+        for rung in est.rungs:
+            config = SolverConfig(rung.step, 1.7, est.thresholds[-1])
+            shared = solve(SQUARE, 1.0, order, config, _tables=tables)
+            fresh = solve(SQUARE, 1.0, order, config)
+            assert shared.escape_index == rung.steps
             assert shared.values.tobytes() == fresh.values.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])

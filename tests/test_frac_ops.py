@@ -387,6 +387,34 @@ def _direct_lagged_sum(table, g, n):
     return np.dot(lags, g[:n]), np.dot(np.abs(lags), np.abs(g[:n]))
 
 
+def _walk(memory, g):
+    """[(s_n, far sum, near dot)] for n = 0..len(g) from the block walk, g_n written after s_n.
+
+    The walk stops at target len(g) or at the capacity, whichever comes
+    first. It sums the way the marches do: a scalar history adds the far sums
+    as Python floats, one per weight row, to the near dot; a row history adds
+    ndarrays. The far sum recorded is the buffer's, read before g_n
+    overwrites it.
+    """
+    near = memory._tables.near
+    walked = []
+    for b0, far, history in memory.blocks():
+        for n in range(b0, b0 + len(far)):
+            r = n - b0
+            dot = near[r].dot(history[b0:n])
+            if isinstance(far, np.ndarray):
+                s = far[r] + dot
+            elif dot.ndim:
+                s = [x + y for x, y in zip(far[r], dot.tolist())]
+            else:
+                s = far[r] + dot.tolist()
+            walked.append((s, memory._far[n].copy(), dot))
+            if n == len(g):
+                return walked
+            history[n] = g[n]
+    return walked
+
+
 class TestLaggedSum:
     # the blocked-FFT sum against the direct dot at every n: the reordering
     # is exact, so only roundoff separates the two
@@ -409,10 +437,10 @@ class TestLaggedSum:
         table = weights(capacity)
         tables = frac_ops.LagTables(weights)
         memory = frac_ops.LaggedSum(tables, capacity + 1, shape)  # s_n for n <= capacity
-        assert np.all(np.asarray(memory.value()) == 0.0)
-        for n in range(1, capacity + 1):
-            memory.append(g[n - 1])
-            got = memory.value()
+        walked = _walk(memory, g)
+        assert len(walked) == capacity + 1
+        assert np.all(np.asarray(walked[0][0]) == 0.0)
+        for n, (got, far, dot) in enumerate(walked[1:], 1):
             want, scale = _direct_lagged_sum(table, g, n)
             if kind == "rows":
                 assert isinstance(got, np.ndarray)
@@ -420,8 +448,7 @@ class TestLaggedSum:
                 # a scalar history sums to Python floats, one per weight row,
                 # with the bits of the far row plus the near dot as ndarrays
                 assert type(got) is float if kind == "scalar" else [type(x) for x in got] == [float, float]
-                r = n % B
-                bits = memory._far[n] + np.dot(tables.near[r], memory._history[n - r : n])
+                bits = far + dot
                 assert np.asarray(got).tobytes() == bits.tobytes()
                 got = np.asarray(got)
             assert got.shape == want.shape
@@ -442,9 +469,7 @@ class TestLaggedSum:
             return frac_ops._power_increments(0.5, m)
 
         tables = frac_ops.LagTables(weights)
-        memory = frac_ops.LaggedSum(tables, capacity)
-        for _ in range(appends):
-            memory.append(1.0)
+        _walk(frac_ops.LaggedSum(tables, capacity), np.ones(appends))
         # the near lags B - 1, then the lags 2L - 1 of each level L reached,
         # each once: the level of 4B entries, not the capacity, bounds them
         assert asked == [B - 1] + [2 * (B << level) - 1 for level in range(len(tables._spectra))]
@@ -463,12 +488,8 @@ class TestLaggedSum:
             g = rng.standard_normal((capacity, 3))
             sums = []
             for tables in (shared, frac_ops.LagTables(weights)):
-                memory = frac_ops.LaggedSum(tables, capacity, (3,))
-                values = []
-                for row in g[:-1]:
-                    memory.append(row)
-                    values.append(memory.value())
-                sums.append(np.array(values).tobytes())
+                walked = _walk(frac_ops.LaggedSum(tables, capacity, (3,)), g[:-1])
+                sums.append(np.array([s for s, _, _ in walked]).tobytes())
             assert sums[0] == sums[1]
 
     @settings(max_examples=10)
@@ -488,12 +509,8 @@ class TestLaggedSum:
             g = rng.standard_normal((length, *shape))
             sums = []
             for tables in (shared, make(alpha)):
-                memory = frac_ops.LaggedSum(tables, length, shape)
-                values = []
-                for row in g[:-1]:
-                    memory.append(row)
-                    values.append(memory.value())
-                sums.append(np.array(values).tobytes())
+                walked = _walk(frac_ops.LaggedSum(tables, length, shape), g[:-1])
+                sums.append(np.array([s for s, _, _ in walked]).tobytes())
             assert sums[0] == sums[1]
 
     @pytest.mark.parametrize("rows", [1, 2])
@@ -505,11 +522,27 @@ class TestLaggedSum:
             return np.stack([table] * rows) if rows > 1 else table
 
         memory = frac_ops.LaggedSum(frac_ops.LagTables(weights), 10 ** 9)
-        for _ in range(4 * B):
-            memory.append(1.0)
+        walked = _walk(memory, np.ones(4 * B))
         assert len(memory._history) <= 8 * B and len(memory._far) <= 8 * B
         want, _ = _direct_lagged_sum(weights(4 * B), np.ones(4 * B), 4 * B)
-        assert np.allclose(memory.value(), want, rtol=1e-13, atol=0.0)
+        assert np.allclose(walked[-1][0], want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("capacity", [1, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_one_tuple_per_base_block(self, capacity, shape):
+        # the blocks cover the targets 0..capacity - 1 in order, B at a time;
+        # the history is the buffer itself and the far sums a copy of the block's
+        memory = frac_ops.LaggedSum(frac_ops.LagTables.l1(0.5), capacity, shape)
+        starts, targets = [], 0
+        for b0, far, history in memory.blocks():
+            assert history is memory._history
+            assert type(far) is (list if shape == () else np.ndarray)
+            if shape:
+                assert not np.shares_memory(far, memory._far)
+            starts.append(b0)
+            targets += len(far)
+        assert starts == list(range(0, capacity, B))
+        assert targets == capacity
 
 
 class TestWeightTables:

@@ -35,6 +35,9 @@ def FO(a):
     return FractionalOrder(a)
 
 
+B = frac_ops._BLOCK  # the base block of the memory sum's block walk
+
+
 def _l1_godunov_direct(u0, alpha, h, dx, n_steps, boundary=None):
     """The L1 / Godunov march for u^2/2, its history sum written out term by term.
 
@@ -244,24 +247,21 @@ class TestConservationAndTransform:
 
 
 class TestDirectScheme:
-    # the blocked memory sum reproduces the L1 history
-    # sum_k b_k (u^(n-k) - u^(n-k-1)) evaluated term by term, over 4B steps
-    # (B the base block of the blocked sum: blocks of B and 2B differences
-    # reach the later steps through FFTs)
-    @pytest.mark.parametrize("alpha", [0.4, 0.8])
-    def test_periodic_matches_direct_scheme(self, alpha):
-        grid, n_steps = SpatialGrid(-1.0, 1.0, 16), 4 * frac_ops._BLOCK
-        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx) ** (1.0 / alpha)  # CFL ratio 0.25 * max|u|
+    @staticmethod
+    def _periodic(alpha, n_steps):
+        """A periodic march of u^2/2 at CFL ratio 0.25 * max|u|, and its direct reference."""
+        grid = SpatialGrid(-1.0, 1.0, 16)
+        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx) ** (1.0 / alpha)
         x = grid.nodes(periodic=True)
         u0 = 0.8 * np.sin(np.pi * x) + 0.3
         fh = solve_u(u0, FO(alpha), grid, TimeGrid(h, n_steps), BoundaryRule.periodic())
-        ref = _l1_godunov_direct(u0, alpha, h, grid.dx, n_steps)
-        assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
+        return fh, _l1_godunov_direct(u0, alpha, h, grid.dx, n_steps)
 
-    @pytest.mark.parametrize("alpha", [0.4, 0.8])
-    def test_dirichlet_matches_direct_scheme(self, alpha):
-        grid, n_steps = SpatialGrid(-1.0, 1.0, 16), 4 * frac_ops._BLOCK
-        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx) ** (1.0 / alpha)  # CFL ratio 0.25 * max|u|
+    @staticmethod
+    def _dirichlet(alpha, n_steps, threshold=1e6):
+        """A Dirichlet march of u^2/2 at CFL ratio 0.25 * max|u|, and its direct reference."""
+        grid = SpatialGrid(-1.0, 1.0, 16)
+        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx) ** (1.0 / alpha)
         x = grid.nodes(periodic=False)
         u0 = -0.8 * x + 0.2 * np.cos(np.pi * x)
 
@@ -269,10 +269,45 @@ class TestDirectScheme:
             # grows slowly enough that max|u| <= 1.6 keeps the CFL ratio below 0.5 up to t = 6
             return (-0.8 * x_end - 0.2) * (1.0 + 0.1 * t)
 
-        bc = BoundaryRule.dirichlet(edge)
-        fh = solve_u(u0, FO(alpha), grid, TimeGrid(h, n_steps), bc)
-        ref = _l1_godunov_direct(u0, alpha, h, grid.dx, n_steps, lambda i, t: edge(x[i], t))
+        fh = solve_u(u0, FO(alpha), grid, TimeGrid(h, n_steps), BoundaryRule.dirichlet(edge), threshold)
+        return fh, _l1_godunov_direct(u0, alpha, h, grid.dx, n_steps, lambda i, t: edge(x[i], t))
+
+    # the blocked memory sum reproduces the L1 history
+    # sum_k b_k (u^(n-k) - u^(n-k-1)) evaluated term by term, over 4B steps
+    # (B the base block of the blocked sum: blocks of B and 2B differences
+    # reach the later steps through FFTs)
+    @pytest.mark.parametrize("alpha", [0.4, 0.8])
+    def test_periodic_matches_direct_scheme(self, alpha):
+        fh, ref = self._periodic(alpha, 4 * B)
         assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.8])
+    def test_dirichlet_matches_direct_scheme(self, alpha):
+        fh, ref = self._dirichlet(alpha, 4 * B)
+        assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # marches that end just before, on and just past the first two base
+    # blocks of the memory sum's block walk
+    @pytest.mark.parametrize("n_steps", [B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+    @pytest.mark.parametrize("march", ["_periodic", "_dirichlet"])
+    def test_matches_direct_scheme_at_block_edges(self, n_steps, march):
+        fh, ref = getattr(self, march)(0.6, n_steps)
+        assert fh.status == "completed" and fh.slices.shape == ref.shape
+        assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # slice n writes the history entry of target n - 1: an escape at slice B
+    # writes a block's last target, whose entry sets off the flush of the
+    # block, and one at slice B + 1 the next block's first
+    @pytest.mark.parametrize("escape", [B, B + 1, 2 * B, 2 * B + 1])
+    def test_escape_at_block_edges(self, escape):
+        full, ref = self._dirichlet(0.6, 2 * B + 2)
+        peaks = np.max(np.abs(ref), axis=1)
+        x = 0.5 * (peaks[escape - 1] + peaks[escape])  # the peak rises with the boundary value
+        assert int(np.flatnonzero(peaks > x)[0]) == escape
+        fh, _ = self._dirichlet(0.6, 2 * B + 2, x)
+        assert fh.status == "escaped" and fh.escape_index == escape
+        assert np.max(np.abs(fh.slices - ref[: escape + 1])) <= 1e-13 * np.max(np.abs(ref))
+        assert fh.slices.tobytes() == full.slices[: escape + 1].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.4, 0.8])
     def test_periodic_march_solves_batch_l1_equation(self, alpha):
