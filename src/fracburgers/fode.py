@@ -19,7 +19,7 @@ loop per block with no method call per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -49,12 +49,8 @@ __all__ = [
 ]
 
 
-THRESHOLD_LEVELS = 3  # thresholds per step of the blow-up ladder
-THRESHOLD_GROWTH = 100.0  # ratio of successive ladder thresholds
-
-
 class NoBlowupDetected(RuntimeError):
-    """Raised when no threshold escape occurs below the configured horizon."""
+    """Raised when a march of the blow-up ladder completes its horizon without escaping."""
 
     def __init__(self, message: str, trace: list[tuple[float, float, float | None]]):
         super().__init__(message)
@@ -167,27 +163,22 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RungRecord:
-    """One rung of a blow-up ladder: a march at `step`, read at every ladder threshold.
+    """One rung of a blow-up ladder: a march at `step` that escaped.
 
-    `steps` is the number of steps the march took. `escape_indices` holds
-    the escape index at each ladder threshold, lowest threshold first; a
-    march that completes its horizon below a threshold holds only those of
-    the thresholds it passed, and ends the ladder with
-    :class:`NoBlowupDetected`. `wall_s` is the wall time of the march.
+    `steps` is the escape index of the march. `wall_s` is its wall time.
     `window` holds the (t, v) nodes with 10 <= v <= 100 of the finest rung,
     and is empty on the others.
     """
 
     step: float
     steps: int
-    escape_indices: tuple[int, ...]
     wall_s: float
     window: tuple[tuple[float, float], ...] = field(default=(), repr=False)
 
 
-def _trace(thresholds: tuple[float, ...], rungs: Iterable[RungRecord]) -> list[tuple[float, float, float]]:
-    """(step, threshold, escape time) of every threshold each rung passed, rung by rung."""
-    return [(r.step, x, i * r.step) for r in rungs for x, i in zip(thresholds, r.escape_indices)]
+def _trace(threshold: float, rungs: Iterable[RungRecord]) -> list[tuple[float, float, float]]:
+    """(step, threshold, escape time) of each rung, coarsest first."""
+    return [(r.step, threshold, r.steps * r.step) for r in rungs]
 
 
 @dataclass(frozen=True)
@@ -195,12 +186,12 @@ class BlowupEstimate:
     """Bracket [t_lo, t_hi] for the blow-up time with the ladder that gave it.
 
     `rungs` holds one :class:`RungRecord` per step of the ladder, coarsest
-    first, each read at `thresholds`; `refinement_trace` is derived from them.
+    first, each marched at `threshold`; `refinement_trace` is derived from them.
     """
 
     t_lo: float
     t_hi: float
-    thresholds: tuple[float, ...]
+    threshold: float
     rungs: tuple[RungRecord, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -213,8 +204,8 @@ class BlowupEstimate:
 
     @property
     def refinement_trace(self) -> list[tuple[float, float, float]]:
-        """(step, threshold, escape time) per rung and threshold, coarsest rung and lowest threshold first."""
-        return _trace(self.thresholds, self.rungs)
+        """(step, threshold, escape time) per rung, coarsest first."""
+        return _trace(self.threshold, self.rungs)
 
 
 def _validate(f: Nonlinearity, v0: float, config: SolverConfig) -> float:
@@ -354,17 +345,12 @@ def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder)
 def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinements: int = 3) -> BlowupEstimate:
     """Bracket the blow-up time of ^C D^alpha v = v^2, v(0) = 1.
 
-    Reads a (step, threshold) ladder: the seed step halved `refinements`
-    times, and the seed threshold times THRESHOLD_GROWTH ** i for
-    i < THRESHOLD_LEVELS. The threshold only decides where a march stops, so
-    each step runs one march, at the largest threshold, and the escape index
-    of every smaller threshold x is read from that trajectory: the first node
-    with |v| > x, or the node where the march overflowed if no finite value
-    exceeds x. The trace is the one a separate march per
-    (step, threshold) pair would give. The upper end of the bracket is the
-    escape time at the finest step and largest threshold plus one step; the
-    lower end subtracts a Richardson-style correction taken from the last
-    step-halving difference. No growth-rate model is assumed.
+    Marches a step ladder: the seed step halved `refinements` times, every
+    rung at the seed's escape threshold, horizon and corrector sweeps. Each
+    rung gives one escape index. The upper end of the bracket is the escape
+    time at the finest step plus one step; the lower end subtracts a
+    Richardson-style correction taken from the last step-halving difference.
+    No growth-rate model is assumed.
 
     Every rung marches at the same alpha, so all of them read one set of
     weight tables (:meth:`frac_ops.LagTables.predictor_corrector`), built for
@@ -375,34 +361,22 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
 
     Every rung's grid is checked before the first march; a refused rung
     raises ValueError naming its index and step, the seed step and
-    `refinements`. Raises :class:`NoBlowupDetected`, carrying the trace read
-    so far, at the first (step, threshold) pair whose march would complete
-    its horizon without escaping; a partial ladder never yields a fabricated
-    estimate.
+    `refinements`. Raises :class:`NoBlowupDetected`, carrying the trace of
+    the rungs before it, at the first rung whose march completes its horizon
+    without escaping; a partial ladder never yields a fabricated estimate.
     """
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
 
     f = Nonlinearity.square()
-    horizon, sweeps = config_seed.horizon, config_seed.corrector_sweeps
-    seed = config_seed.escape_threshold
-    try:
-        thresholds = tuple(seed * THRESHOLD_GROWTH ** i for i in range(THRESHOLD_LEVELS))
-    except OverflowError:  # the power itself left the float range
-        thresholds = (math.inf,)
-    if not math.isfinite(thresholds[-1]):
-        raise ValueError(
-            f"the top ladder threshold overflows: escape_threshold {seed:g} * "
-            f"{THRESHOLD_GROWTH:g} ** {THRESHOLD_LEVELS - 1} is not finite"
-        )
-    _validate(f, 1.0, config_seed)  # the thresholds rise from the seed's
+    threshold = config_seed.escape_threshold
     # ldexp halves the seed step exactly and underflows to a refused 0 where
     # 2.0 ** i would overflow, so a huge `refinements` stops after about 1100 rungs
     rungs = []
     for i in range(refinements + 1):
         step = math.ldexp(config_seed.step, -i)
         try:
-            rungs.append(SolverConfig(step, horizon, thresholds[-1], sweeps))
+            rungs.append(replace(config_seed, step=step))
         except ValueError as exc:
             raise ValueError(
                 f"ladder rung {i} (step {step!r}, the seed step {config_seed.step!r} "
@@ -415,37 +389,25 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
         start = perf_counter()
         traj = solve(f, 1.0, order, rung, _tables=tables)
         wall = perf_counter() - start
-        magnitude = np.abs(traj.values)
-        indices = []
-        for x in thresholds:
-            above = np.flatnonzero(magnitude > x)
-            if above.size:
-                indices.append(int(above[0]))
-            elif traj.status == "escaped":
-                indices.append(traj.escape_index)  # overflowed before any finite value exceeded x
-            else:
-                break
+        if traj.status != "escaped":
+            raise NoBlowupDetected(
+                f"no blow-up detected below horizon {rung.horizon} "
+                f"(step {rung.step:g}, threshold {threshold:g})",
+                _trace(threshold, records),
+            )
         window = ()
         if rung is rungs[-1]:
             v = traj.values
             inside = (v >= 10.0) & (v <= 100.0)
             window = tuple(zip(traj.times[inside].tolist(), v[inside].tolist()))
-        steps = traj.escape_index if traj.escape_index is not None else traj.samples.grid.count
-        records.append(RungRecord(rung.step, steps, tuple(indices), wall, window))
-        if len(indices) < len(thresholds):
-            raise NoBlowupDetected(
-                f"no blow-up detected below horizon {horizon} "
-                f"(step {rung.step:g}, threshold {thresholds[len(indices)]:g})",
-                _trace(thresholds, records),
-            )
+        records.append(RungRecord(rung.step, traj.escape_index, wall, window))
 
-    # the finest and the next-coarser step, both at the largest threshold
     fine, prev = records[-1], records[-2]
     h_fine = fine.step
-    e_fine = fine.escape_indices[-1] * h_fine
-    e_prev = prev.escape_indices[-1] * prev.step
+    e_fine = fine.steps * h_fine
+    e_prev = prev.steps * prev.step
     t_hi = e_fine + h_fine
     correction = abs(e_prev - e_fine) + h_fine
     t_lo = max(e_fine - correction, 0.5 * h_fine)
     t_lo = min(t_lo, t_hi)
-    return BlowupEstimate(t_lo, t_hi, thresholds, tuple(records))
+    return BlowupEstimate(t_lo, t_hi, threshold, tuple(records))

@@ -211,7 +211,18 @@ class TestBlowup:
         assert report["t_lo"] <= 1.0 <= report["t_hi"]
         assert report["width"] <= 0.02
         assert report["sandwich"]["upper"] == 1.0
-        assert len(report["refinement_trace"]) == 12
+        assert len(report["refinement_trace"]) == 4
+
+    def test_ladder_marches_every_rung_at_1e10(self, capsys):
+        # at this alpha the finest rung passes 1e6 after 49 steps and 1e10
+        # after 50; the bracket is the one the ladder reads at 1e10
+        rc, report = run_json(capsys, ["blowup", "--alpha", "0.2241144715294"])
+        assert rc == 0
+        assert [e["threshold"] for e in report["refinement_trace"]] == [1e10] * 4
+        finest = report["refinement_trace"][-1]
+        assert round(finest["escape_time"] / finest["step"]) == 50
+        assert (report["t_lo"], report["t_hi"]) == (0.0040999999999999995, 0.0051)
+        assert main(["blowup", "--alpha", "0.5", "--threshold", "1e6"]) == 2  # no such option
 
     def test_unrepresentable_lower_bound_exits_3(self, capsys):
         assert main(["blowup", "--alpha", "0.005"]) == 3
@@ -459,7 +470,7 @@ def test_nonpositive_or_infinite_step_and_horizon_exit_2(tmp_path, capsys, comma
 TYPICAL_OPTIONS = {
     "bounds": {"--alpha": "0.5", "--delta": "0.5"},
     "solve": {"--alpha": "0.5", "--h": "0.01", "--t-max": "1", "--cap": None, "--v0": "1", "--threshold": "1e6"},
-    "blowup": {"--alpha": "0.5", "--threshold": "1e6", "--refinements": "1", "--step": "0.01", "--delta": "0.5"},
+    "blowup": {"--alpha": "0.5", "--refinements": "1", "--step": "0.01", "--delta": "0.5"},
     "impulse": {"--alphas": "0.5,1", "--times": "1,2", "--h": "0.01", "--t-max": "3"},
     "caputo": {"--alpha": "0.5"},
     "pde": {"--alpha": "0.5", "--cells": "8", "--h": "1e-3", "--t-max": "0.01", "--initial": "minus-x",
@@ -475,7 +486,6 @@ FLOAT_FLAGS = [
     ("solve", "--v0", "{}", "1"),
     ("solve", "--cap", "{}", "4"),
     ("blowup", "--alpha", "{}", "0.5"),
-    ("blowup", "--threshold", "{}", "1e6"),
     ("blowup", "--delta", "{}", "0.5"),
     ("impulse", "--alphas", "{},1", "0.5"),
     ("impulse", "--times", "{},2", "1"),
@@ -525,7 +535,7 @@ def test_every_float_flag_ends_in_a_documented_exit_code(tmp_path_factory, case,
 
 @pytest.mark.parametrize("argv, keys", [
     (["bounds", "--alpha", "0.5"], ["alpha", "delta"]),
-    (["blowup", "--alpha", "1"], ["alpha", "threshold", "refinements", "step", "horizon", "delta"]),
+    (["blowup", "--alpha", "1"], ["alpha", "refinements", "step", "horizon", "delta"]),
     (["solve", "--alpha", "0.5", "--h", "0.01", "--t-max", "0.1"],
      ["alpha", "h", "t_max", "cap", "v0", "threshold", "sweeps"]),
     (["impulse", "--t-max", "1"], ["alphas", "times", "h", "t_max"]),

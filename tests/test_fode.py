@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracburgers import cli, fode, frac_ops
+from fracburgers import fode, frac_ops
 from fracburgers import (
     FractionalOrder,
     NoBlowupDetected,
@@ -65,19 +65,18 @@ def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
 
 
 def _ladder_direct(order, seed, refinements=3):
-    """The blow-up ladder as one solve per (step, threshold) pair: (t_lo, t_hi, trace)."""
-    steps = [seed.step / 2.0 ** i for i in range(refinements + 1)]
-    thresholds = [seed.escape_threshold * 100.0 ** i for i in range(3)]
+    """The blow-up ladder as one solve per rung: (t_lo, t_hi, trace)."""
+    x = seed.escape_threshold
     trace = []
-    for h in steps:
-        for x in thresholds:
-            traj = solve(SQUARE, 1.0, order, SolverConfig(h, seed.horizon, x, seed.corrector_sweeps))
-            if traj.status != "escaped":
-                raise NoBlowupDetected(
-                    f"no blow-up detected below horizon {seed.horizon} (step {h:g}, threshold {x:g})", trace
-                )
-            trace.append((h, x, traj.escape_time))
-    e_fine, e_prev, h_fine = trace[-1][2], trace[-4][2], steps[-1]
+    for i in range(refinements + 1):
+        h = seed.step / 2.0 ** i
+        traj = solve(SQUARE, 1.0, order, SolverConfig(h, seed.horizon, x, seed.corrector_sweeps))
+        if traj.status != "escaped":
+            raise NoBlowupDetected(
+                f"no blow-up detected below horizon {seed.horizon} (step {h:g}, threshold {x:g})", trace
+            )
+        trace.append((h, x, traj.escape_time))
+    (_, _, e_prev), (h_fine, _, e_fine) = trace[-2:]
     t_hi = e_fine + h_fine
     t_lo = min(max(e_fine - (abs(e_prev - e_fine) + h_fine), 0.5 * h_fine), t_hi)
     return t_lo, t_hi, trace
@@ -344,25 +343,19 @@ class TestBlowupEstimate:
 
     def test_trace_monotonicity(self):
         est = estimate_blowup(FractionalOrder(0.5), SolverConfig(8e-4, 1.7), refinements=2)
-        by_step = {}
-        for step, threshold, escape in est.refinement_trace:
-            by_step.setdefault(step, []).append((threshold, escape))
-        # escape times nondecreasing in threshold at fixed step
-        for rows in by_step.values():
-            escapes = [e for _, e in sorted(rows)]
-            assert all(escapes[i] <= escapes[i + 1] for i in range(len(escapes) - 1))
-        # and nonincreasing under step refinement at fixed threshold
-        steps = sorted(by_step, reverse=True)
-        for k in range(3):
-            ladder = [sorted(by_step[s])[k][1] for s in steps]
-            assert all(ladder[i] >= ladder[i + 1] for i in range(len(ladder) - 1))
+        # escape times nonincreasing under step refinement
+        escapes = [e for _, _, e in est.refinement_trace]
+        assert all(escapes[i] >= escapes[i + 1] for i in range(len(escapes) - 1))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9, 1.0])
     def test_matches_one_solve_per_rung(self, alpha):
+        # seed thresholds 1e10, a node value of the coarsest march and 1e300
         order = FractionalOrder(alpha)
-        seed = SolverConfig(8e-4, 1.7)
-        est = estimate_blowup(order, seed)
-        assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
+        coarsest = solve(SQUARE, 1.0, order, SolverConfig(8e-4, 1.7, 1e10))
+        for x in (1e10, float(coarsest.values[len(coarsest.values) // 2]), 1e300):
+            seed = SolverConfig(8e-4, 1.7, escape_threshold=x)
+            est = estimate_blowup(order, seed)
+            assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed), x
 
     def test_threshold_equal_to_a_node_value_is_not_an_escape(self):
         # escape needs |v| > x strictly, also when x is exactly a node value
@@ -372,6 +365,17 @@ class TestBlowupEstimate:
         est = estimate_blowup(order, seed, refinements=1)
         assert est.refinement_trace[0] == (8e-4, traj.values[100], 101 * 8e-4)
         assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed, refinements=1)
+
+    def test_overflow_escape_read_for_every_threshold(self):
+        # at threshold 1e300, v^2 overflows before any finite value exceeds it
+        # on the coarsest step, so that rung escapes one past its last finite
+        # node (the finest step passes 1e300 at a finite 8.5e303)
+        order = FractionalOrder(0.5)
+        seed = SolverConfig(8e-4, 1.7, escape_threshold=1e300)
+        est = estimate_blowup(order, seed)
+        overflowed = solve(SQUARE, 1.0, order, seed)
+        assert est.rungs[0].steps == overflowed.escape_index == len(overflowed.values)
+        assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
 
     @pytest.mark.parametrize("refinements", [1, 3])
     def test_one_solve_per_step(self, monkeypatch, refinements):
@@ -385,8 +389,8 @@ class TestBlowupEstimate:
         monkeypatch.setattr(fode, "solve", counting)
         est = estimate_blowup(FractionalOrder(0.5), SolverConfig(8e-4, 1.7), refinements=refinements)
         assert len(calls) == refinements + 1
-        assert {c.escape_threshold for c in calls} == {1e10}
-        assert len(est.refinement_trace) == 3 * (refinements + 1)
+        assert {c.escape_threshold for c in calls} == {1e6}
+        assert len(est.refinement_trace) == refinements + 1
 
     @pytest.mark.parametrize(
         "alpha, growth",
@@ -434,7 +438,7 @@ class TestBlowupEstimate:
         assert est.rungs[0].steps % B not in (0, B - 1)
         tables = frac_ops.LagTables.predictor_corrector(alpha)
         for rung in est.rungs:
-            config = SolverConfig(rung.step, 1.7, est.thresholds[-1])
+            config = SolverConfig(rung.step, 1.7, est.threshold)
             shared = solve(SQUARE, 1.0, order, config, _tables=tables)
             fresh = solve(SQUARE, 1.0, order, config)
             assert shared.escape_index == rung.steps
@@ -444,12 +448,11 @@ class TestBlowupEstimate:
     def test_rung_records(self, alpha):
         order = FractionalOrder(alpha)
         est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
-        assert est.thresholds == (1e6, 1e8, 1e10)
+        assert est.threshold == 1e6
         assert [r.step for r in est.rungs] == [8e-4 / 2 ** i for i in range(4)]
         for rung in est.rungs:
-            traj = solve(SQUARE, 1.0, order, SolverConfig(rung.step, 1.7, 1e10))
+            traj = solve(SQUARE, 1.0, order, SolverConfig(rung.step, 1.7, 1e6))
             assert rung.steps == traj.escape_index
-            assert rung.escape_indices[-1] == traj.escape_index
             assert rung.wall_s > 0.0
         *coarse, finest = est.rungs
         assert all(r.window == () for r in coarse)
@@ -458,42 +461,26 @@ class TestBlowupEstimate:
         assert finest.window == tuple(zip(traj.times[inside].tolist(), v[inside].tolist()))
         assert len(finest.window) >= 30
         # the trace is read from the records
-        assert est.refinement_trace == [
-            (r.step, x, i * r.step) for r in est.rungs for x, i in zip(est.thresholds, r.escape_indices)
-        ]
+        assert est.refinement_trace == [(r.step, 1e6, r.steps * r.step) for r in est.rungs]
 
     def test_partial_trace_names_first_missing_rung(self):
-        # the horizon of 225 coarse steps lets the two lower thresholds escape
-        # but not the top one, so the ladder stops at its third rung
+        # the coarsest march passes 1e10 after 227 steps, beyond the horizon
+        # of 225, so the ladder stops at its first rung with an empty trace
         order = FractionalOrder(0.5)
-        seed = SolverConfig(8e-4, 225 * 8e-4)
+        seed = SolverConfig(8e-4, 225 * 8e-4, escape_threshold=1e10)
         with pytest.raises(NoBlowupDetected, match=r"threshold 1e\+10\)") as got:
             estimate_blowup(order, seed, refinements=1)
         with pytest.raises(NoBlowupDetected) as want:
             _ladder_direct(order, seed, refinements=1)
         assert str(got.value) == str(want.value)
-        assert len(got.value.trace) == 2
-        assert got.value.trace == want.value.trace
-
-    def test_overflow_escape_read_for_every_threshold(self):
-        # with thresholds from 1e300, v^2 overflows before any finite value
-        # exceeds them on the coarser steps, so all their rungs read the
-        # overflow node (the finest step passes 1e300 at a finite 8.5e303)
-        order = FractionalOrder(0.5)
-        seed = SolverConfig(8e-4, 1.7, escape_threshold=1e300)
-        est = estimate_blowup(order, seed)
-        by_step = {}
-        for step, _, escape in est.refinement_trace:
-            by_step.setdefault(step, set()).add(escape)
-        assert any(len(escapes) == 1 for escapes in by_step.values())
-        assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
+        assert got.value.trace == want.value.trace == []
 
     def test_ladder_does_not_scale_with_the_horizon(self):
         # alpha = 0.1 blows up at 1.4e-6: the march at seed 1e-9 escapes after
         # about 1e4 steps, however far the horizon lies
         order = FractionalOrder(0.1)
-        far = estimate_blowup(order, SolverConfig(1e-9, 1.7))
-        near = estimate_blowup(order, SolverConfig(1e-9, 1e-4))
+        far = estimate_blowup(order, SolverConfig(1e-9, 1.7, escape_threshold=1e10))
+        near = estimate_blowup(order, SolverConfig(1e-9, 1e-4, escape_threshold=1e10))
         assert (far.t_lo, far.t_hi, far.refinement_trace) == (near.t_lo, near.t_hi, near.refinement_trace)
         # the bracket itself sits one step quantum high (ROADMAP Known defect 1)
         assert (far.t_lo, far.t_hi) == pytest.approx((1.397375e-6, 1.400375e-6), rel=1e-12)
@@ -506,7 +493,7 @@ class TestBlowupEstimate:
         seed = SolverConfig(1e-3, 1.7)
         with pytest.raises(ValueError):
             estimate_blowup(FractionalOrder(0.5), seed, refinements=0)
-        # the lowest threshold must exceed v(0) = 1 even though only the top one is marched
+        # the threshold must exceed v(0) = 1
         with pytest.raises(ValueError, match="must exceed"):
             estimate_blowup(FractionalOrder(0.5), SolverConfig(1e-3, 1.7, escape_threshold=0.5))
 
@@ -520,23 +507,3 @@ class TestBlowupEstimate:
         # the message names the derived rung, not only the step the caller never passed
         assert f"seed step {step!r}" in str(err.value)
         assert f"refinements {refinements}" in str(err.value)
-
-    @pytest.mark.parametrize("growth, levels", [(1e10, 2), (100.0, 400)])
-    def test_overflowing_top_threshold_names_the_ladder(self, monkeypatch, growth, levels):
-        # 1e300 * 1e10 overflows to inf; 100.0 ** 399 raises OverflowError
-        monkeypatch.setattr(fode, "THRESHOLD_GROWTH", growth)
-        monkeypatch.setattr(fode, "THRESHOLD_LEVELS", levels)
-        seed = SolverConfig(1e-3, 1.7, escape_threshold=1e300)
-        with pytest.raises(ValueError) as err:
-            estimate_blowup(FractionalOrder(0.5), seed)
-        message = str(err.value)
-        assert "escape_threshold 1e+300" in message
-        assert f"{growth:g} ** {levels - 1} is not finite" in message
-
-    def test_overflowing_seed_threshold_is_refused(self, capsys):
-        # the top rung 1e305 * 100 ** 2 of the default ladder overflows to inf
-        seed = SolverConfig(1e-3, 1.7, escape_threshold=1e305)
-        with pytest.raises(ValueError, match=r"escape_threshold 1e\+305 \* 100 \*\* 2 is not finite"):
-            estimate_blowup(FractionalOrder(0.5), seed)
-        assert cli.main(["blowup", "--alpha", "0.5", "--threshold", "1e305"]) == 2
-        assert "escape_threshold 1e+305" in capsys.readouterr().err
