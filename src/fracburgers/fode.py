@@ -13,7 +13,10 @@ with two weight rows, predictor and corrector (full sums, exact blocked-FFT
 reordering, no windowing: the memory term is the object under study), and
 adds f(v_0) through the closed-form weight sums of the rules on constants.
 It walks the sum one base block at a time (LaggedSum.blocks), in one tight
-loop per block with no method call per step.
+loop per block with no method call per step, and one matrix-vector product
+per two steps: the pair product of an even target also gives the next, odd
+target its near sums less the lag-1 term, which the march adds in floats.
+Each block's powers (n+1)^alpha come from one numpy call.
 """
 
 from __future__ import annotations
@@ -264,25 +267,35 @@ def _solve_fractional(
     # the weight sums on constants, (n+1)^alpha and (alpha+1) (n+1)^alpha less
     # the corrector's weight 1 on f(v_{n+1}). The memory sums are walked one
     # base block of targets at a time: step n reads target n + 1 as the
-    # block's far sums, Python floats, plus the near dot over the block's
-    # entries before it, and writes g_{n+1} after it.
+    # block's far sums, Python floats, plus its near sum, and writes g_{n+1}
+    # after it. An even target takes its near sums from the pair product,
+    # which also gives the odd target after it all but the lag-1 term on
+    # g_{n+1}; that term is added in floats once g_{n+1} is written.
     rhs = f.fn
     near = tables.near
+    w1_pred, w1_corr = tables.lag1
     sums = LaggedSum(tables, n_steps + 1)
     f0 = float(rhs(v0))
     pred_f0 = c_pred * f0
     corr_f0 = (alpha + 1.0) * f0
     values = [v0]
     keep = values.append
+    g = pred_odd = corr_odd = 0.0  # g_0, and the near sums of target 1 less its lag-1 term
     for b0, far, history in sums.blocks():
         if not b0:
             history[0] = 0.0  # g_0
+        powers = np.power(np.arange(b0, b0 + len(far), dtype=float), alpha).tolist()  # t^alpha per target t
         for n in range(max(b0 - 1, 0), b0 + len(far) - 1):
             r = n + 1 - b0
-            (pred, corr), (pred_near, corr_near) = far[r], near[r].dot(history[b0 : n + 1]).tolist()
-            pred += pred_near
-            corr += corr_near
-            p = (n + 1.0) ** alpha
+            pred, corr = far[r]
+            if r & 1:
+                pred += pred_odd + w1_pred * g
+                corr += corr_odd + w1_corr * g
+            else:
+                pred_even, corr_even, pred_odd, corr_odd = near[r >> 1].dot(history[b0 : n + 1]).tolist()
+                pred += pred_even
+                corr += corr_even
+            p = powers[r]
             vp = v0 + c_pred * pred + pred_f0 * p
             hist = corr + (corr_f0 * p - f0)
             vn = vp
@@ -293,7 +306,8 @@ def _solve_fractional(
                     keep(vn)
                 return _finish(values, h, n + 1)
             keep(vn)
-            history[n + 1] = rhs(vn) - f0
+            g = rhs(vn) - f0
+            history[n + 1] = g
     return _finish(values, h, None)
 
 
@@ -351,6 +365,11 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     time at the finest step plus one step; the lower end subtracts a
     Richardson-style correction taken from the last step-halving difference.
     No growth-rate model is assumed.
+
+    The ``blowup`` command marches at ``cli.BLOWUP_THRESHOLD`` = 1e10.
+    :class:`SolverConfig`'s default threshold of 1e6 gives other brackets,
+    by up to 2 finest steps, so pass ``escape_threshold=1e10`` to match the
+    CLI.
 
     Every rung marches at the same alpha, so all of them read one set of
     weight tables (:meth:`frac_ops.LagTables.predictor_corrector`), built for

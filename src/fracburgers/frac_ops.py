@@ -24,10 +24,11 @@ Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
 and target is still summed once, with no history compression and no
 windowing, on buffers that grow with the march. A march walks it one base
 block of targets at a time (:meth:`LaggedSum.blocks`), so that its inner
-loop makes no call into it per step. Its weight tables live in a
-:class:`LagTables`, which marches of one weight kind share: it builds each
-block level's spectrum from exactly that level's lags, the first time a
-march reaches the level.
+loop makes no call into it per step, and takes the direct part of two
+targets from one matrix product. Its weight tables live in a
+:class:`LagTables`, which marches of one weight kind share: it holds the
+paired near weights and builds each block level's spectrum from exactly
+that level's lags, the first time a march reaches the level.
 :func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
 in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
@@ -209,22 +210,36 @@ class LagTables:
 
     ``weights(m)`` returns w_1..w_m, as one row or as several rows (shape
     (rows, m)); its entries must depend on the lag k alone, not on m. The
-    object memoizes what marches read and never write: the near slices
-    w_r..w_1 of the direct part (`near`, from ``weights(B - 1)``) and one
-    spectrum per block level L (from ``weights(2L - 1)``, at the first
-    request). Its contents depend only on the levels reached, so marches of
-    one weight kind (the rungs of a blow-up ladder) share one object and
-    compute each table once. The package's weight kinds are
-    :meth:`predictor_corrector` (fode) and :meth:`l1` (pde).
+    object memoizes what marches read and never write: the near part of the
+    direct sum and one spectrum per block level L (from ``weights(2L - 1)``,
+    at the first request). The near part comes from one ``weights(B - 1)``
+    call and pairs the targets of a base block, so that one product serves
+    two of them: `near[q]`, for q = 0..B/2 - 1, stacks the weight rows of
+    target 2q (w_2q..w_1) over those of target 2q + 1 less its lag 1
+    (w_2q+1..w_2), both against the 2q entries before target 2q, as one
+    C-contiguous matrix of shape (2R, 2q) for R weight rows. `lag1` holds
+    w_1 (a float, or a list of one float per row), the term the odd target
+    still lacks on the entry written after the even one. `rows` is the
+    shape of one weight column: () for a 1-D table, (R,) for R rows. Its
+    contents depend only on the levels reached, so marches of one weight
+    kind (the rungs of a blow-up ladder) share one object and compute each
+    table once. The package's weight kinds are :meth:`predictor_corrector`
+    (fode) and :meth:`l1` (pde).
     """
 
-    __slots__ = ("_weights", "near", "_spectra")
+    __slots__ = ("_weights", "rows", "near", "lag1", "_spectra")
 
     def __init__(self, weights: Callable[[int], np.ndarray]):
         self._weights = weights
-        near = np.ascontiguousarray(weights(_BLOCK - 1)[..., ::-1])  # w_{B-1}..w_1
-        # w_r..w_1 for r = 0..B-1, each C-contiguous (a copy for several weight rows)
-        self.near = [np.ascontiguousarray(near[..., _BLOCK - 1 - r :]) for r in range(_BLOCK)]
+        table = weights(_BLOCK - 1)
+        self.rows = table.shape[:-1]
+        self.lag1 = table[..., 0].tolist()
+        lags = table.reshape(-1, _BLOCK - 1)[:, ::-1]  # w_{B-1}..w_1 per row: column B - 1 - k holds w_k
+        last = _BLOCK - 1
+        self.near = [
+            np.concatenate((lags[:, last - 2 * q : last], lags[:, last - 1 - 2 * q : last - 1]))
+            for q in range(_BLOCK // 2)
+        ]
         self._spectra: list[np.ndarray] = []  # level l: (rows, B 2^l + 1, 1)
 
     @classmethod
@@ -264,7 +279,8 @@ class LaggedSum:
     O(n^2):
 
     * near part: the lags inside the current base block of B = 128 entries,
-      one direct dot of fewer than B terms;
+      one direct product of fewer than B terms per pair of targets
+      (:class:`LagTables`), plus the lag-1 term of the odd target;
     * far part: when the history length s reaches a multiple of B, with
       L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s] adds
       its contribution to the targets s..s+L-1 through one real FFT of length
@@ -288,26 +304,30 @@ class LaggedSum:
         self._capacity = capacity
         rows = min(capacity, _BLOCK)
         self._history = np.zeros((rows, *shape))
-        weight_rows = tables.near[0].shape[:-1]
-        self._far = np.zeros((rows, *weight_rows, *shape)) if weight_rows else self._history
+        self._far = np.zeros((rows, *tables.rows, *shape)) if tables.rows else self._history
 
     def blocks(self) -> Iterator[tuple[int, list | np.ndarray, np.ndarray]]:
         """Walk the targets one base block at a time: yields (b0, far, history).
 
         One tuple per base block b0 = 0, B, 2B, ... below `capacity`; its
         targets are n = b0 .. b0 + len(far) - 1. The caller takes them in
-        order, reads s_n = far[n - b0] + tables.near[n - b0] . history[b0:n]
-        and then writes g_n into history[n]. Every block that reaches these
-        targets has been added to `far` before the block starts, so the
-        walk needs no call per target; resuming it after the block's last
-        target adds the block that ends there (:meth:`_flush`) and yields the
-        next one. A march that stops early abandons the walk.
+        order, two at a time. At an even r = n - b0 it forms the pair product
+        P = tables.near[r // 2] . history[b0:n], reads s_n = far[r] plus the
+        first half of P, and writes g_n into history[n]. At the odd target
+        n + 1 it reads s_{n+1} = far[r + 1] plus (the second half of P plus
+        tables.lag1 * g_n), and writes g_{n+1}. A block may end on an even
+        target; the second half of its last product is then not read. Every
+        block that reaches these targets has been added to `far` before the
+        block starts, so the walk needs no call per target; resuming it
+        after the block's last target adds the block that ends there
+        (:meth:`_flush`) and yields the next one. A march that stops early
+        abandons the walk.
 
         `history` is the buffer itself, which a flush resizes in place: the
         caller keeps no view of it across blocks. `far` is a copy of the
         block's far sums: for a scalar history a list of Python floats (one
         float per target for one weight row, a list of floats for several),
-        so that the march adds floats, each far sum plus the near dot being
+        so that the march adds floats, each far sum plus the near sum being
         the same IEEE addition an ndarray add makes; for a row history an
         ndarray of the block's rows.
         """

@@ -9,7 +9,9 @@ roundoff on transformed data.
 
 The L1 history sum of every node comes from one frac_ops.LaggedSum over the
 past slice differences, walked one base block of steps at a time
-(LaggedSum.blocks): the full sum, reordered exactly into blocked FFTs, so
+(LaggedSum.blocks), with one matrix product per two steps (the odd step
+adds its lag-1 term b_1 times the difference just written): the full sum,
+reordered exactly into blocked FFTs, so
 N steps on M nodes cost O(M N log^2 N) instead of O(M N^2). The far sums of
 future steps wait in the history buffer's not-yet-written rows and the block
 transforms run on column chunks, so the march needs about the memory of the
@@ -196,6 +198,7 @@ def _march(
     # step n reads the memory sum of target s = n - 1 and writes its difference there
     tables = LagTables.l1(alpha)
     near = tables.near
+    b1 = tables.lag1
     memory = LaggedSum(tables, n_steps, x.shape)
     # the retained slices: up to _RESERVED_BYTES of rows up front, doubled in
     # place when the march fills them (up to n_steps + 1 rows) and shrunk in
@@ -222,7 +225,14 @@ def _march(
                 if ratio > 0.5 + 1e-12:
                     raise CflError(int(np.argmax(speeds)), n, ratio)
 
-                hist = far[s - b0] + near[s - b0].dot(history[b0:s])
+                r = s - b0
+                if r & 1:  # the pair's odd target: its lag-1 term on the difference just written
+                    near_sum = pair[1]
+                    near_sum += b1 * history[s - 1]
+                else:
+                    pair = near[r >> 1].dot(history[b0:s])  # (2, nodes): targets s and s + 1
+                    near_sum = pair[0]
+                hist = far[r] + near_sum
                 if periodic:
                     # periodic neighbours by concatenation: np.roll costs several times more
                     f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])), flux, s_min)

@@ -240,11 +240,10 @@ class TestSolve:
         ref = _pece_direct(alpha, h, n_steps, 1)
         assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
 
-    # an escape on a block's last target, whose history entry would set off
-    # the flush of the block, and one on the next block's first target
-    @pytest.mark.parametrize("escape", [B - 1, B, 2 * B - 1, 2 * B])
-    def test_escape_at_block_edges(self, escape):
-        alpha, n_steps = 0.7, 2 * B + 1
+    @staticmethod
+    def _escape_is_a_prefix_of_the_direct_scheme(escape, n_steps):
+        """A march at alpha 0.7 with its threshold set to escape at target `escape`."""
+        alpha = 0.7
         h = 0.4 / n_steps
         ref = _pece_direct(alpha, h, n_steps, 1)
         x = 0.5 * (ref[escape - 1] + ref[escape])  # v rises: ref first exceeds x at `escape`
@@ -255,6 +254,34 @@ class TestSolve:
         assert np.max(np.abs(traj.values - ref[: escape + 1]) / ref[: escape + 1]) <= 1e-13
         full = solve(SQUARE, 1.0, order, SolverConfig(h, n_steps * h))
         assert traj.values.tobytes() == full.values[: escape + 1].tobytes()
+
+    # an escape on a block's last target, whose history entry would set off
+    # the flush of the block, and one on the next block's first target
+    @pytest.mark.parametrize("escape", [B - 1, B, 2 * B - 1, 2 * B])
+    def test_escape_at_block_edges(self, escape):
+        self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 1)
+
+    # one product serves the targets 2q and 2q + 1 of a base block, and the
+    # odd one adds its lag-1 term on the entry written between them: escapes
+    # on either target of a pair, in the b0 = 0 block (whose target 0 is v0)
+    # and in later ones
+    @pytest.mark.parametrize("escape", [1, 2, 3, 4, B + 37, B + 38, 2 * B + 5, 2 * B + 6])
+    def test_escape_on_either_target_of_a_pair(self, escape):
+        self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 8)
+
+    # completed marches whose last base block has odd length, so that its
+    # last pair has no odd target, down to the b0 = 0 block of 3 targets
+    @pytest.mark.parametrize("n_steps", [2, 4, B + 2, 2 * B + 4])
+    def test_last_block_of_odd_length(self, n_steps):
+        alpha, h = 0.7, 0.4 / (2 * B + 8)
+        order = FractionalOrder(alpha)
+        traj = solve(SQUARE, 1.0, order, SolverConfig(h, n_steps * h))
+        assert traj.status == "completed" and traj.values.size == n_steps + 1
+        assert (n_steps + 1) % B % 2 == 1  # the march reads targets 0..n_steps
+        ref = _pece_direct(alpha, h, n_steps, 1)
+        assert np.max(np.abs(traj.values - ref) / ref) <= 1e-13
+        full = solve(SQUARE, 1.0, order, SolverConfig(h, (2 * B + 8) * h))
+        assert traj.values.tobytes() == full.values[: n_steps + 1].tobytes()
 
     def test_tables_follow_the_march_not_the_horizon(self, monkeypatch):
         # alpha = 0.3 escapes after 228 of the 17000 steps to the horizon
@@ -484,6 +511,22 @@ class TestBlowupEstimate:
         assert (far.t_lo, far.t_hi, far.refinement_trace) == (near.t_lo, near.t_hi, near.refinement_trace)
         # the bracket itself sits one step quantum high (ROADMAP Known defect 1)
         assert (far.t_lo, far.t_hi) == pytest.approx((1.397375e-6, 1.400375e-6), rel=1e-12)
+
+    # the CLI's ladder at the acceptance alphas: a change of summation order
+    # that moves an escape index or a bracket fails here
+    @pytest.mark.parametrize(
+        "alpha, steps, bracket",
+        [
+            (0.3, [35, 62, 118, 228], (0.021900000000000003, 0.0229)),
+            (0.5, [226, 446, 887, 1768], (0.17610000000000003, 0.1769)),
+            (0.7, [577, 1151, 2297, 4591], (0.4587, 0.4592)),
+            (0.9, [1016, 2030, 4056, 8109], (0.8105000000000001, 0.811)),
+        ],
+    )
+    def test_pinned_escape_indices(self, alpha, steps, bracket):
+        est = estimate_blowup(FractionalOrder(alpha), SolverConfig(8e-4, 1.7, 1e10))
+        assert [r.steps for r in est.rungs] == steps
+        assert (est.t_lo, est.t_hi) == bracket
 
     def test_no_blowup_below_horizon(self):
         with pytest.raises(NoBlowupDetected):

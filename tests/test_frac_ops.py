@@ -388,27 +388,39 @@ def _direct_lagged_sum(table, g, n):
 
 
 def _walk(memory, g):
-    """[(s_n, far sum, near dot)] for n = 0..len(g) from the block walk, g_n written after s_n.
+    """[(s_n, far sum, near sum)] for n = 0..len(g) from the block walk, g_n written after s_n.
 
     The walk stops at target len(g) or at the capacity, whichever comes
-    first. It sums the way the marches do: a scalar history adds the far sums
-    as Python floats, one per weight row, to the near dot; a row history adds
-    ndarrays. The far sum recorded is the buffer's, read before g_n
-    overwrites it.
+    first. It reads the pair layout the way the marches do: an even target
+    n = b0 + r takes its near sum from the pair product
+    near[r // 2] . history[b0:n], whose second half holds the near sum of
+    target n + 1 less its lag-1 term, added once g_n is written. A scalar
+    history sums Python floats, one per weight row, as fode does; a row
+    history sums ndarrays, as pde does. The far sum recorded is the
+    buffer's, read before g_n overwrites it.
     """
-    near = memory._tables.near
+    tables = memory._tables
+    lag1 = np.atleast_1d(tables.lag1).tolist()  # w_1 per weight row
     walked = []
     for b0, far, history in memory.blocks():
+        scalar = isinstance(far, list)
         for n in range(b0, b0 + len(far)):
             r = n - b0
-            dot = near[r].dot(history[b0:n])
-            if isinstance(far, np.ndarray):
-                s = far[r] + dot
-            elif dot.ndim:
-                s = [x + y for x, y in zip(far[r], dot.tolist())]
+            if r % 2 == 0:
+                pair = tables.near[r // 2].dot(history[b0:n])
+                near_sum, odd = pair.reshape(2, -1).tolist() if scalar else pair
+            elif scalar:
+                g_prev = history[n - 1].item()
+                near_sum = [x + w * g_prev for x, w in zip(odd, lag1)]
             else:
-                s = far[r] + dot.tolist()
-            walked.append((s, memory._far[n].copy(), dot))
+                near_sum = odd + tables.lag1 * history[n - 1]
+            if scalar:
+                s = [x + y for x, y in zip(far[r] if tables.rows else [far[r]], near_sum)]
+                s = s if tables.rows else s[0]
+                near_sum = np.reshape(near_sum, tables.rows)
+            else:
+                s = far[r] + near_sum
+            walked.append((s, memory._far[n].copy(), near_sum))
             if n == len(g):
                 return walked
             history[n] = g[n]
@@ -440,15 +452,15 @@ class TestLaggedSum:
         walked = _walk(memory, g)
         assert len(walked) == capacity + 1
         assert np.all(np.asarray(walked[0][0]) == 0.0)
-        for n, (got, far, dot) in enumerate(walked[1:], 1):
+        for n, (got, far, near) in enumerate(walked[1:], 1):
             want, scale = _direct_lagged_sum(table, g, n)
             if kind == "rows":
                 assert isinstance(got, np.ndarray)
             else:
                 # a scalar history sums to Python floats, one per weight row,
-                # with the bits of the far row plus the near dot as ndarrays
+                # with the bits of the far row plus the near sum as ndarrays
                 assert type(got) is float if kind == "scalar" else [type(x) for x in got] == [float, float]
-                bits = far + dot
+                bits = far + near
                 assert np.asarray(got).tobytes() == bits.tobytes()
                 got = np.asarray(got)
             assert got.shape == want.shape
@@ -512,6 +524,22 @@ class TestLaggedSum:
                 walked = _walk(frac_ops.LaggedSum(tables, length, shape), g[:-1])
                 sums.append(np.array([s for s, _, _ in walked]).tobytes())
             assert sums[0] == sums[1]
+
+    @pytest.mark.parametrize("kind, rows", [("predictor_corrector", (2,)), ("l1", ())])
+    def test_near_pairs_hold_the_weights_of_their_targets(self, kind, rows):
+        # near[q] stacks the weight rows of target 2q over those of target
+        # 2q + 1 less its lag 1, against the 2q entries of the block before
+        # target 2q; lag1 holds the missing w_1
+        tables = getattr(frac_ops.LagTables, kind)(0.37)
+        assert tables.rows == rows
+        w = np.reshape(tables._weights(B - 1), (-1, B - 1))  # column k - 1 holds w_k
+        assert len(tables.near) == B // 2
+        for q, pair in enumerate(tables.near):
+            assert pair.shape == (2 * len(w), 2 * q) and pair.flags.c_contiguous
+            lags = 2 * q - np.arange(2 * q)  # lag of entry j of the block from target 2q
+            assert np.array_equal(pair[: len(w)], w[:, lags - 1])
+            assert np.array_equal(pair[len(w) :], w[:, lags])  # one lag more from target 2q + 1
+        assert np.atleast_1d(tables.lag1).tolist() == w[:, 0].tolist()
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_buffers_grow_with_the_history_not_the_capacity(self, rows):

@@ -295,19 +295,43 @@ class TestDirectScheme:
         assert fh.status == "completed" and fh.slices.shape == ref.shape
         assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def _escape_is_a_prefix_of_the_direct_scheme(self, escape, n_steps):
+        """A Dirichlet march at alpha 0.6 with its threshold set to escape at slice `escape`."""
+        full, ref = self._dirichlet(0.6, n_steps)
+        peaks = np.max(np.abs(ref), axis=1)
+        x = 0.5 * (peaks[escape - 1] + peaks[escape])  # the peak rises with the boundary value
+        assert int(np.flatnonzero(peaks > x)[0]) == escape
+        fh, _ = self._dirichlet(0.6, n_steps, x)
+        assert fh.status == "escaped" and fh.escape_index == escape
+        assert np.max(np.abs(fh.slices - ref[: escape + 1])) <= 1e-13 * np.max(np.abs(ref))
+        assert fh.slices.tobytes() == full.slices[: escape + 1].tobytes()
+
     # slice n writes the history entry of target n - 1: an escape at slice B
     # writes a block's last target, whose entry sets off the flush of the
     # block, and one at slice B + 1 the next block's first
     @pytest.mark.parametrize("escape", [B, B + 1, 2 * B, 2 * B + 1])
     def test_escape_at_block_edges(self, escape):
-        full, ref = self._dirichlet(0.6, 2 * B + 2)
-        peaks = np.max(np.abs(ref), axis=1)
-        x = 0.5 * (peaks[escape - 1] + peaks[escape])  # the peak rises with the boundary value
-        assert int(np.flatnonzero(peaks > x)[0]) == escape
-        fh, _ = self._dirichlet(0.6, 2 * B + 2, x)
-        assert fh.status == "escaped" and fh.escape_index == escape
-        assert np.max(np.abs(fh.slices - ref[: escape + 1])) <= 1e-13 * np.max(np.abs(ref))
-        assert fh.slices.tobytes() == full.slices[: escape + 1].tobytes()
+        self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 2)
+
+    # one product serves the targets 2q and 2q + 1 of a base block, and the
+    # odd one adds b_1 times the difference written between them: escapes on
+    # either target of a pair (slice n reads target n - 1), in the b0 = 0
+    # block and in later ones
+    @pytest.mark.parametrize("escape", [1, 2, 3, 4, B + 38, B + 39, 2 * B + 6, 2 * B + 7])
+    def test_escape_on_either_target_of_a_pair(self, escape):
+        self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 8)
+
+    # completed marches whose last base block has odd length, so that its
+    # last pair has no odd target, down to the b0 = 0 block of 3 targets
+    @pytest.mark.parametrize("n_steps", [3, 5, B + 3, 2 * B + 5])
+    @pytest.mark.parametrize("march", ["_periodic", "_dirichlet"])
+    def test_last_block_of_odd_length(self, n_steps, march):
+        fh, ref = getattr(self, march)(0.6, n_steps)
+        assert n_steps % B % 2 == 1  # slice n reads target n - 1 of 0..n_steps - 1
+        assert fh.status == "completed" and fh.slices.shape == ref.shape
+        assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
+        full, _ = getattr(self, march)(0.6, 2 * B + 8)
+        assert fh.slices.tobytes() == full.slices[: n_steps + 1].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.4, 0.8])
     def test_periodic_march_solves_batch_l1_equation(self, alpha):
