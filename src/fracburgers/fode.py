@@ -65,14 +65,13 @@ class Nonlinearity:
     """Right-hand side f of ^C D^alpha v = f(v)."""
 
     fn: Callable[[float], float]
-    label: str
 
     def __call__(self, r: float) -> float:
         return self.fn(r)
 
     @classmethod
     def square(cls) -> "Nonlinearity":
-        return cls(lambda r: r * r, "square")
+        return cls(lambda r: r * r)
 
     @classmethod
     def capped_square(cls, cap: float) -> "Nonlinearity":
@@ -81,11 +80,11 @@ class Nonlinearity:
         if not cap > 0.0:
             raise ValueError(f"cap must be > 0, got {cap!r}")
         cap2 = cap * cap
-        return cls(lambda r: min(r * r, cap2), f"capped_square({cap:g})")
+        return cls(lambda r: min(r * r, cap2))
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
-        return cls(lambda r: 0.0, "zero")
+        return cls(lambda r: 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Time-fractional scalar conservation-law solver.
 
-Marches ^C D^alpha u + d/dx flux(u) = 0 with the L1 memory operator in time
-(full history retained per spatial node) and a monotone Godunov upwind flux
-in space. Two flux forms are provided: the quadratic transport form u^2/2 and
-the occupancy-density form c*(rho^2 - rho_max*rho), which are exact affine
-images of one another under u = 2 rho - 1, so the two solvers agree to
-roundoff on transformed data.
+Marches the transport form ^C D^alpha u + d/dx (u^2/2) = 0 with the L1
+memory operator in time (full history retained per spatial node) and a
+monotone Godunov upwind flux in space. The occupancy-density form
+^C D^alpha rho = d/dx (c*rho*(rho_max - rho)) is its exact affine image under
+u = c*(2 rho - rho_max), so `solve_rho` maps its data to u, marches the one
+transport scheme and maps the slices back.
 
 The L1 history sum of every node comes from one frac_ops.LaggedSum over the
 past slice differences, walked one base block of steps at a time
@@ -18,14 +18,15 @@ transforms run on column chunks, so the march needs about the memory of the
 direct sum.
 
 Each explicit step is monotone under the enforced CFL restriction
-dt^alpha * max|speed| / (Gamma(2-alpha) dx) <= 0.5, checked per step against
+dt^alpha * max|u| / (Gamma(2-alpha) dx) <= 0.5, checked per step against
 the current slice; a violation is an error, not a warning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -121,10 +122,11 @@ class MarketParams:
     c_tilde: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.rho_max > 0.0:
-            raise ValueError(f"rho_max must be > 0, got {self.rho_max!r}")
-        if not self.c_tilde > 0.0:
-            raise ValueError(f"c_tilde must be > 0, got {self.c_tilde!r}")
+        # finite and normal, so that the map to u and its inverse 0.5 / c_tilde stay finite
+        for name in ("rho_max", "c_tilde"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= sys.float_info.min):
+                raise ValueError(f"{name} must be finite and >= {sys.float_info.min!r}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,10 @@ class FieldHistory:
         return self.time.times
 
 
-def _godunov_flux(left: np.ndarray, right: np.ndarray, flux, s_min: float) -> np.ndarray:
-    """Monotone Godunov flux for a convex flux with minimum at s_min."""
-    return np.maximum(flux(np.maximum(left, s_min)), flux(np.minimum(right, s_min)))
+def _godunov_flux(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Monotone Godunov flux of u^2/2, a convex flux with its minimum at 0."""
+    up, down = np.maximum(left, 0.0), np.minimum(right, 0.0)
+    return np.maximum(0.5 * up * up, 0.5 * down * down)
 
 
 def _march(
@@ -171,11 +174,10 @@ def _march(
     spatial: SpatialGrid,
     time: TimeGrid,
     bc: BoundaryRule,
-    flux,
-    speed,
-    s_min: float,
-    escape_threshold: float,
-) -> FieldHistory:
+    lo: float,
+    hi: float,
+) -> tuple[np.ndarray, np.ndarray, str, int | None]:
+    """March the transport form until a slice leaves [lo, hi]: (x, slices, status, escape_index)."""
     periodic = bc.kind == "periodic"
     x = spatial.nodes(periodic)
     u0 = np.asarray(u0, dtype=float)
@@ -183,8 +185,6 @@ def _march(
         raise ValueError(f"initial data has shape {u0.shape}, expected {x.shape}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial data must be finite")
-    if not escape_threshold > 0.0:
-        raise ValueError(f"escape_threshold must be > 0, got {escape_threshold!r}")
 
     alpha = order.alpha
     h = time.step
@@ -206,12 +206,14 @@ def _march(
     # of the rows (`prev`) is used after a resize
     slices = np.empty((min(n_steps, max(1, _RESERVED_BYTES // (8 * x.size))) + 1, x.size))
     slices[0] = u0
+    # max|u| of the current slice, from the max and min that the escape test reads
+    peak = max(float(u0.max()), -float(u0.min()))
 
-    def finish(last: int, status: str, escape_index: int | None) -> FieldHistory:
+    def finish(last: int, status: str, escape_index: int | None):
         if last < 1:
             raise ValueError("first marching step produced a non-finite slice")
         slices.resize((last + 1, x.size), refcheck=False)
-        return FieldHistory(spatial, TimeGrid(h, last), x, slices, order, status, escape_index)
+        return x, slices, status, escape_index
 
     # a slice that overflows ends the march below, as an escape or as the
     # first-step error, so numpy's overflow warnings are not raised
@@ -220,10 +222,9 @@ def _march(
             for s in range(b0, b0 + len(far)):
                 n = s + 1
                 prev = slices[s]
-                speeds = speed(prev)
-                ratio = cfl_scale * float(speeds.max())
+                ratio = cfl_scale * peak
                 if ratio > 0.5 + 1e-12:
-                    raise CflError(int(np.argmax(speeds)), n, ratio)
+                    raise CflError(int(np.argmax(np.abs(prev))), n, ratio)
 
                 r = s - b0
                 if r & 1:  # the pair's odd target: its lag-1 term on the difference just written
@@ -235,26 +236,27 @@ def _march(
                 hist = far[r] + near_sum
                 if periodic:
                     # periodic neighbours by concatenation: np.roll costs several times more
-                    f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])), flux, s_min)
+                    f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])))
                     div = (f_right - np.concatenate((f_right[-1:], f_right[:-1]))) / dx
                     new = prev - hist - dt_eff * div
                 else:
-                    f_iface = _godunov_flux(prev[:-1], prev[1:], flux, s_min)
+                    f_iface = _godunov_flux(prev[:-1], prev[1:])
                     new = np.empty_like(prev)
                     t_n = n * h
                     new[0] = bc.callback(spatial.x_min, t_n)
                     new[-1] = bc.callback(spatial.x_max, t_n)
                     new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
 
-                peak = float(np.abs(new).max())  # NaN and inf carry through the max
-                if not math.isfinite(peak):
+                new_hi, new_lo = float(new.max()), float(new.min())  # NaN and inf carry through both
+                if not (math.isfinite(new_hi) and math.isfinite(new_lo)):
                     return finish(n - 1, "escaped", n)
                 history[s] = new - prev
                 if n == len(slices):
                     slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
                 slices[n] = new
-                if peak > escape_threshold:
+                if new_hi > hi or new_lo < lo:
                     return finish(n, "escaped", n)
+                peak = max(new_hi, -new_lo)
     return finish(n_steps, "completed", None)
 
 
@@ -266,18 +268,23 @@ def solve_u(
     bc: BoundaryRule,
     escape_threshold: float = 1e6,
 ) -> FieldHistory:
-    """Quadratic transport form: ^C D^alpha u + d/dx (u^2/2) = 0."""
-    return _march(
-        u0,
-        order,
-        spatial,
-        time,
-        bc,
-        flux=lambda v: 0.5 * v * v,
-        speed=np.abs,
-        s_min=0.0,
-        escape_threshold=escape_threshold,
-    )
+    """Quadratic transport form: ^C D^alpha u + d/dx (u^2/2) = 0; escape at |u| > escape_threshold."""
+    if not escape_threshold > 0.0:
+        raise ValueError(f"escape_threshold must be > 0, got {escape_threshold!r}")
+    x, slices, status, escape_index = _march(u0, order, spatial, time, bc, -escape_threshold, escape_threshold)
+    return FieldHistory(spatial, TimeGrid(time.step, len(slices) - 1), x, slices, order, status, escape_index)
+
+
+def _to_u(rho, params: MarketParams):
+    """The transport value u = c_tilde * (2 rho - rho_max) of a density rho."""
+    return params.c_tilde * (2.0 * rho - params.rho_max)
+
+
+def _to_rho(u: np.ndarray, params: MarketParams, out: np.ndarray | None = None) -> np.ndarray:
+    """The density rho = u / (2 c_tilde) + rho_max / 2 of a transport value u, inverse of :func:`_to_u`."""
+    out = np.multiply(u, 0.5 / params.c_tilde, out=out)
+    out += 0.5 * params.rho_max
+    return out
 
 
 def solve_rho(
@@ -289,41 +296,33 @@ def solve_rho(
     params: MarketParams = MarketParams(),
     escape_threshold: float = 1e6,
 ) -> FieldHistory:
-    """Occupancy-density form: ^C D^alpha rho = d/dx (c*rho*(rho_max - rho))."""
-    c, rm = params.c_tilde, params.rho_max
-    return _march(
-        rho0,
-        order,
-        spatial,
-        time,
-        bc,
-        flux=lambda r: c * (r * r - rm * r),
-        speed=lambda r: np.abs(c * (2.0 * r - rm)),
-        s_min=rm / 2.0,
-        escape_threshold=escape_threshold,
-    )
+    """Occupancy-density form: ^C D^alpha rho = d/dx (c*rho*(rho_max - rho)).
 
-
-def _affine_image(fieldhist: FieldHistory, scale: float, shift: float) -> FieldHistory:
-    return FieldHistory(
-        fieldhist.spatial,
-        fieldhist.time,
-        fieldhist.x,
-        scale * fieldhist.slices + shift,
-        fieldhist.order,
-        fieldhist.status,
-        fieldhist.escape_index,
-    )
+    Marches the transport form on u = c*(2 rho - rho_max), with the initial
+    data and any Dirichlet values mapped the same way, and maps the slices
+    back in place. A slice escapes at |rho| > escape_threshold, which is u
+    outside [-c*(2 X + rho_max), c*(2 X - rho_max)] for X = escape_threshold.
+    """
+    if not escape_threshold > 0.0:
+        raise ValueError(f"escape_threshold must be > 0, got {escape_threshold!r}")
+    if bc.kind == "dirichlet":
+        rho_bc = bc.callback
+        bc = BoundaryRule.dirichlet(lambda xx, tt: _to_u(rho_bc(xx, tt), params))
+    u0 = _to_u(np.asarray(rho0, dtype=float), params)
+    lo, hi = _to_u(-escape_threshold, params), _to_u(escape_threshold, params)
+    x, slices, status, escape_index = _march(u0, order, spatial, time, bc, lo, hi)
+    _to_rho(slices, params, out=slices)
+    return FieldHistory(spatial, TimeGrid(time.step, len(slices) - 1), x, slices, order, status, escape_index)
 
 
 def rho_to_u(fieldhist: FieldHistory) -> FieldHistory:
-    """Pointwise substitution u = 2 rho - 1."""
-    return _affine_image(fieldhist, 2.0, -1.0)
+    """Pointwise substitution u = 2 rho - 1 (the map of the default MarketParams)."""
+    return replace(fieldhist, slices=_to_u(fieldhist.slices, MarketParams()))
 
 
 def u_to_rho(fieldhist: FieldHistory) -> FieldHistory:
     """Pointwise substitution rho = (u + 1)/2, inverse of :func:`rho_to_u`."""
-    return _affine_image(fieldhist, 0.5, 0.5)
+    return replace(fieldhist, slices=_to_rho(fieldhist.slices, MarketParams()))
 
 
 def separable_solution(v: Trajectory, x: float, t: float) -> float:

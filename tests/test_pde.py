@@ -1,8 +1,10 @@
 """Space-time solver: fixed points, conservation, the exact affine
-equivalence between the two flux forms, CFL enforcement, monotone extrema,
-product-form fields, and the lazy rescaling description."""
+equivalence between the two flux forms (the density form checked against
+its own direct scheme), CFL enforcement, monotone extrema, product-form
+fields, and the lazy rescaling description."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,18 +38,22 @@ def FO(a):
 
 
 B = frac_ops._BLOCK  # the base block of the memory sum's block walk
+MARKETS = [MarketParams(rho_max=3.0, c_tilde=2.5), MarketParams(rho_max=0.7, c_tilde=0.3)]
+MARKET_IDS = ["c2.5-rmax3", "c0.3-rmax0.7"]
 
 
-def _l1_godunov_direct(u0, alpha, h, dx, n_steps, boundary=None):
-    """The L1 / Godunov march for u^2/2, its history sum written out term by term.
+def _l1_godunov_direct(u0, alpha, h, dx, n_steps, boundary=None, flux=lambda v: 0.5 * v * v, s_min=0.0):
+    """The L1 / Godunov march for a convex flux with its minimum at s_min, its
+    history sum written out term by term: u^2/2 at 0 (the transport form) by
+    default, c (rho^2 - rho_max rho) at rho_max/2 for the density form.
 
     Periodic when `boundary` is None, else Dirichlet with boundary(x_index, t).
     """
     b = [(k + 1) ** (1.0 - alpha) - k ** (1.0 - alpha) for k in range(n_steps)]
     dt_eff = math.gamma(2.0 - alpha) * h ** alpha
 
-    def flux(left, right):
-        return np.maximum(0.5 * np.maximum(left, 0.0) ** 2, 0.5 * np.minimum(right, 0.0) ** 2)
+    def godunov(left, right):
+        return np.maximum(flux(np.maximum(left, s_min)), flux(np.minimum(right, s_min)))
 
     u = [np.array(u0, dtype=float)]
     for n in range(1, n_steps + 1):
@@ -56,10 +62,10 @@ def _l1_godunov_direct(u0, alpha, h, dx, n_steps, boundary=None):
         for k in range(1, n):
             hist += b[k] * (u[n - k] - u[n - k - 1])
         if boundary is None:
-            f_right = flux(prev, np.roll(prev, -1))
+            f_right = godunov(prev, np.roll(prev, -1))
             new = prev - hist - dt_eff * (f_right - np.roll(f_right, 1)) / dx
         else:
-            f_iface = flux(prev[:-1], prev[1:])
+            f_iface = godunov(prev[:-1], prev[1:])
             new = prev - hist
             new[1:-1] -= dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
             new[0], new[-1] = boundary(0, n * h), boundary(-1, n * h)
@@ -83,10 +89,13 @@ class TestTypes:
             BoundaryRule("robin")
 
     def test_market_params(self):
-        with pytest.raises(ValueError):
-            MarketParams(rho_max=0.0)
-        with pytest.raises(ValueError):
-            MarketParams(c_tilde=-1.0)
+        # zero, negative and non-finite values, and subnormal ones, whose map
+        # back from the transport form, 0.5 / c_tilde, would overflow
+        for name in ("rho_max", "c_tilde"):
+            for bad in (0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.min / 2):
+                with pytest.raises(ValueError, match=name):
+                    MarketParams(**{name: bad})
+            assert getattr(MarketParams(**{name: sys.float_info.min}), name) == sys.float_info.min
 
     @staticmethod
     def _result(kind, status, escape_index):
@@ -222,8 +231,9 @@ class TestConservationAndTransform:
         rho_run = solve_rho(rho0, FO(alpha), grid, time, bc_rho)
         u_run = solve_u(2.0 * rho0 - 1.0, FO(alpha), grid, time, bc_u)
         assert rho_run.status == u_run.status == "completed"
-        # roundoff only: the marches differ by the rounding of 2 rho - 1 and of
-        # the two flux forms; 400 drawn cases of up to 2B + 5 steps gave at most 5.5e-15
+        # roundoff only: the density march is the transport march of the same
+        # u0 = 2 rho0 - 1, so the gap is the rounding of the map back to rho
+        # and of rho_to_u
         gap = np.max(np.abs(rho_to_u(rho_run).slices - u_run.slices))
         assert gap <= 1e-13
 
@@ -333,6 +343,65 @@ class TestDirectScheme:
         full, _ = getattr(self, march)(0.6, 2 * B + 8)
         assert fh.slices.tobytes() == full.slices[: n_steps + 1].tobytes()
 
+    @staticmethod
+    def _density(params, n_steps, periodic, ramp=0.0, speed=0.8, threshold=1e6):
+        """A density march at alpha 0.6 and its direct reference, the flux
+        c (rho^2 - rho_max rho) with its minimum at rho_max / 2.
+
+        The step puts the CFL ratio at 0.25 for max|c (2 rho - rho_max)| =
+        speed * c * rho_max; the data start at 0.8 c rho_max. The Dirichlet
+        inflows grow by a tenth every 2B steps; with ramp > 0 the left one
+        also rises by ramp * rho_max every 2B steps, and with ramp < 0 the
+        right one falls.
+        """
+        c, rm = params.c_tilde, params.rho_max
+        alpha, grid = 0.6, SpatialGrid(-1.0, 1.0, 16)
+        h = (0.25 * math.gamma(2.0 - alpha) * grid.dx / (speed * c * rm)) ** (1.0 / alpha)
+        x = grid.nodes(periodic)
+        rho0 = rm * (0.5 + 0.3 * (np.sin(np.pi * x) if periodic else -x) + 0.1 * np.cos(np.pi * x))
+
+        def edge(x_end, t):
+            blocks = t / (2 * B * h)
+            rho = rm * (0.4 - 0.3 * x_end) * (1.0 + 0.1 * blocks)
+            if ramp > 0.0 and x_end <= grid.x_min or ramp < 0.0 and x_end >= grid.x_max:
+                rho += ramp * rm * blocks
+            return rho
+
+        bc = BoundaryRule.periodic() if periodic else BoundaryRule.dirichlet(edge)
+        fh = solve_rho(rho0, FO(alpha), grid, TimeGrid(h, n_steps), bc, params, threshold)
+        boundary = None if periodic else lambda i, t: edge(x[i], t)
+        density_flux = lambda r: c * (r * r - rm * r)
+        return fh, _l1_godunov_direct(rho0, alpha, h, grid.dx, n_steps, boundary, density_flux, rm / 2.0)
+
+    # the density form marches the transport form's affine image
+    # u = c (2 rho - rho_max); at parameters other than the default it
+    # reproduces the direct density scheme within and across base blocks
+    @pytest.mark.parametrize("n_steps", [B - 1, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "dirichlet"])
+    @pytest.mark.parametrize("params", MARKETS, ids=MARKET_IDS)
+    def test_density_matches_direct_density_scheme(self, params, periodic, n_steps):
+        fh, ref = self._density(params, n_steps, periodic)
+        assert fh.status == "completed" and fh.slices.shape == ref.shape
+        assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # a left inflow that rises past +X or a right one that falls below -X:
+    # the march escapes at the first slice where the direct density scheme
+    # has |rho| > X, and keeps that scheme's prefix
+    @pytest.mark.parametrize("escape", [B + 64, 2 * B + 1])
+    @pytest.mark.parametrize("ramp", [1.6, -1.6], ids=["rises", "falls"])
+    @pytest.mark.parametrize("params", MARKETS, ids=MARKET_IDS)
+    def test_density_escape_is_a_prefix_of_the_direct_scheme(self, params, ramp, escape):
+        n_steps = 2 * B + 8
+        full, ref = self._density(params, n_steps, False, ramp, speed=4.0)
+        assert full.status == "completed"
+        peaks = np.max(np.abs(ref), axis=1)
+        x = 0.5 * (peaks[escape - 1] + peaks[escape])
+        assert int(np.flatnonzero(peaks > x)[0]) == escape
+        assert (ref[escape].max() > x, ref[escape].min() < -x) == (ramp > 0.0, ramp < 0.0)
+        fh, _ = self._density(params, n_steps, False, ramp, speed=4.0, threshold=x)
+        assert fh.status == "escaped" and fh.escape_index == escape
+        assert np.max(np.abs(fh.slices - ref[: escape + 1])) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("alpha", [0.4, 0.8])
     def test_periodic_march_solves_batch_l1_equation(self, alpha):
         # over 5B steps the field satisfies D^alpha u_j(t_n) = -(F_{j+1/2} - F_{j-1/2})(u^(n-1)) / dx
@@ -355,14 +424,19 @@ class TestDirectScheme:
 
 class TestSchemeGuards:
     def test_cfl_violation_names_node_and_step(self):
+        # u = -x, and its density (1 - x)/2 under u = 2 rho - 1
         sp = SpatialGrid(-1, 1, 200)
-        with pytest.raises(CflError) as err:
-            solve_u(
-                -sp.nodes(False), FO(0.5), sp, TimeGrid(1e-3, 10),
-                BoundaryRule.dirichlet(lambda x, t: -x),
-            )
-        assert err.value.step == 1
-        assert err.value.node == 0  # the first of the two nodes of largest speed, x = -1 and x = 1
+        x = sp.nodes(False)
+        args = (FO(0.5), sp, TimeGrid(1e-3, 10))
+        marches = [
+            lambda: solve_u(-x, *args, BoundaryRule.dirichlet(lambda xx, t: -xx)),
+            lambda: solve_rho((1.0 - x) / 2.0, *args, BoundaryRule.dirichlet(lambda xx, t: (1.0 - xx) / 2.0)),
+        ]
+        for march in marches:
+            with pytest.raises(CflError) as err:
+                march()
+            assert err.value.step == 1
+            assert err.value.node == 0  # the first of the two nodes of largest speed, x = -1 and x = 1
 
     def test_monotone_history_extrema(self):
         # under the CFL condition every explicit update is a monotone map of
