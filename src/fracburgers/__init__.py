@@ -54,15 +54,11 @@ from .pde import (
     CflError,
     FieldHistory,
     MarketParams,
-    RescaledField,
     SpatialGrid,
     market_density,
-    rescale_field,
-    rho_to_u,
     separable_solution,
     solve_rho,
     solve_u,
-    u_to_rho,
 )
 from .specfun import euler_mascheroni, gamma, log_gamma
 
@@ -114,13 +110,9 @@ __all__ = [
     "BoundaryRule",
     "MarketParams",
     "FieldHistory",
-    "RescaledField",
     "CflError",
     "solve_u",
     "solve_rho",
-    "rho_to_u",
-    "u_to_rho",
     "separable_solution",
     "market_density",
-    "rescale_field",
 ]

@@ -39,7 +39,6 @@ from .frac_ops import (
 )
 
 DEFAULT_DELTA = 0.5  # documented arbitrary default for the lower-bound report
-BLOWUP_THRESHOLD = 1e10  # escape threshold of every rung of the blowup ladder
 DEFAULT_IMPULSE_ALPHAS = "0.1,0.25,0.5,0.75,0.875,0.9,0.99,1"
 DEFAULT_IMPULSE_TIMES = "1,2,3,4"
 _ROWS_PER_WRITE = 4096  # CSV rows formatted and written at a time
@@ -151,7 +150,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_blowup(args: argparse.Namespace) -> int:
     t0 = _time.perf_counter()
     order = FractionalOrder(args.alpha)
-    config = _fode.SolverConfig(args.step, args.horizon, BLOWUP_THRESHOLD)
+    config = _fode.SolverConfig(args.step, args.horizon)
     est = _fode.estimate_blowup(order, config, refinements=args.refinements)
     lower = _bounds.lower_bound_T(order, args.delta)
     upper = _bounds.upper_bound_b(order)

@@ -82,10 +82,6 @@ class Nonlinearity:
         cap2 = cap * cap
         return cls(lambda r: min(r * r, cap2))
 
-    @classmethod
-    def zero(cls) -> "Nonlinearity":
-        return cls(lambda r: 0.0)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -94,21 +90,21 @@ class SolverConfig:
     The march takes `step`-sized steps up to `horizon` and stops early at the
     first node with |v| > `escape_threshold`; the fractional corrector runs
     `corrector_sweeps` times per step. `grid` is
-    ``TimeGrid.spanning(step, horizon)``: round(horizon / step) steps, at
-    least one, with step, horizon and their ratio finite and > 0. The step
-    may not exceed the horizon.
+    ``TimeGrid.spanning(step, horizon)``, which refuses a step longer than
+    the horizon. The default threshold 1e10 is the one the blow-up ladder
+    marches at, for :func:`estimate_blowup` and the ``blowup`` command
+    alike; the ``solve`` and ``pde`` commands pass their ``--threshold``,
+    1e6 by default.
     """
 
     step: float
     horizon: float
-    escape_threshold: float = 1e6
+    escape_threshold: float = 1e10
     corrector_sweeps: int = 1
     grid: TimeGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", TimeGrid.spanning(self.step, self.horizon))
-        if self.step > self.horizon:
-            raise ValueError(f"step {self.step} must not exceed horizon {self.horizon}")
         if not np.isfinite(self.escape_threshold) or self.escape_threshold <= 0.0:
             raise ValueError(f"escape_threshold must be > 0, got {self.escape_threshold!r}")
         if int(self.corrector_sweeps) != self.corrector_sweeps or self.corrector_sweeps < 0:
@@ -364,11 +360,6 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     time at the finest step plus one step; the lower end subtracts a
     Richardson-style correction taken from the last step-halving difference.
     No growth-rate model is assumed.
-
-    The ``blowup`` command marches at ``cli.BLOWUP_THRESHOLD`` = 1e10.
-    :class:`SolverConfig`'s default threshold of 1e6 gives other brackets,
-    by up to 2 finest steps, so pass ``escape_threshold=1e10`` to match the
-    CLI.
 
     Every rung marches at the same alpha, so all of them read one set of
     weight tables (:meth:`frac_ops.LagTables.predictor_corrector`), built for

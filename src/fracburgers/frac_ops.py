@@ -102,11 +102,13 @@ class TimeGrid:
 
     @classmethod
     def spanning(cls, step: float, horizon: float) -> "TimeGrid":
-        """The grid of round(horizon / step) steps, at least one, of size `step`.
+        """The grid of round(horizon / step) steps of size `step`.
 
         This is the step-count rule of every march. Raises ValueError unless
-        step, horizon and their ratio are all finite and step, horizon > 0.
-        A finite ratio is not capped: there is no step budget.
+        step, horizon and their ratio are all finite, step and horizon are
+        > 0, and step <= horizon, so that the last node lies within half a
+        step of the horizon. A finite ratio is not capped: there is no step
+        budget.
         """
         for name, value in (("step", step), ("horizon", horizon)):
             if not (math.isfinite(value) and value > 0.0):
@@ -114,7 +116,9 @@ class TimeGrid:
         ratio = horizon / step
         if not math.isfinite(ratio):
             raise ValueError(f"horizon / step must be finite, got {horizon!r} / {step!r}")
-        return cls(step, max(1, round(ratio)))
+        if step > horizon:
+            raise ValueError(f"step {step} must not exceed horizon {horizon}")
+        return cls(step, round(ratio))
 
     @property
     def times(self) -> np.ndarray:

@@ -77,9 +77,6 @@ class ImpulseTable:
     alphas: tuple[float, ...]
     values: np.ndarray = field(repr=False)  # shape (len(times), len(alphas))
 
-    def column(self, alpha: float) -> np.ndarray:
-        return self.values[:, self.alphas.index(float(alpha))]
-
     @property
     def column_labels(self) -> list[str]:
         return [f"alpha={a:g}" for a in self.alphas]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,15 +40,11 @@ __all__ = [
     "BoundaryRule",
     "MarketParams",
     "FieldHistory",
-    "RescaledField",
     "CflError",
     "solve_u",
     "solve_rho",
-    "rho_to_u",
-    "u_to_rho",
     "separable_solution",
     "market_density",
-    "rescale_field",
 ]
 
 
@@ -315,16 +311,6 @@ def solve_rho(
     return FieldHistory(spatial, TimeGrid(time.step, len(slices) - 1), x, slices, order, status, escape_index)
 
 
-def rho_to_u(fieldhist: FieldHistory) -> FieldHistory:
-    """Pointwise substitution u = 2 rho - 1 (the map of the default MarketParams)."""
-    return replace(fieldhist, slices=_to_u(fieldhist.slices, MarketParams()))
-
-
-def u_to_rho(fieldhist: FieldHistory) -> FieldHistory:
-    """Pointwise substitution rho = (u + 1)/2, inverse of :func:`rho_to_u`."""
-    return replace(fieldhist, slices=_to_rho(fieldhist.slices, MarketParams()))
-
-
 def separable_solution(v: Trajectory, x: float, t: float) -> float:
     """Product-form field -x * v(t), with v linearly interpolated between nodes."""
     return -float(x) * v.value_at(t)
@@ -333,60 +319,3 @@ def separable_solution(v: Trajectory, x: float, t: float) -> float:
 def market_density(v: Trajectory, x: float, t: float) -> float:
     """Density counterpart (1 - x*v(t))/2 of the product-form field."""
     return (1.0 - float(x) * v.value_at(t)) / 2.0
-
-
-@dataclass(frozen=True)
-class RescaledField:
-    """Lazy description of the rescaled field u(lam^alpha x, lam t).
-
-    Only the grid maps and the interpolation rule are stored; no data is
-    resampled. If the base field is the product form with blow-up time T,
-    the rescaled field blows up at T / lam.
-    """
-
-    base: FieldHistory
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam!r}")
-
-    @property
-    def space_scale(self) -> float:
-        """Base x-coordinate per rescaled x-coordinate."""
-        return self.lam ** self.base.order.alpha
-
-    @property
-    def x_min(self) -> float:
-        return self.base.x[0] / self.space_scale
-
-    @property
-    def x_max(self) -> float:
-        return self.base.x[-1] / self.space_scale
-
-    @property
-    def t_max(self) -> float:
-        return self.base.time.horizon / self.lam
-
-    def evaluate(self, x: float, t: float) -> float:
-        """Bilinear interpolation of the base field at (lam^alpha x, lam t)."""
-        bx = float(x) * self.space_scale
-        bt = float(t) * self.lam
-        if not (self.base.x[0] <= bx <= self.base.x[-1]):
-            raise ValueError(f"x = {x} maps outside the base spatial domain")
-        if not (0.0 <= bt <= self.base.time.horizon * (1.0 + 1e-12)):
-            raise ValueError(f"t = {t} maps outside the base time domain")
-        h = self.base.time.step
-        j = min(int(bt / h), self.base.time.count - 1)
-        w = bt / h - j
-        lo = np.interp(bx, self.base.x, self.base.slices[j])
-        hi = np.interp(bx, self.base.x, self.base.slices[j + 1])
-        return float((1.0 - w) * lo + w * hi)
-
-    def initial_datum(self, x: float) -> float:
-        return self.evaluate(x, 0.0)
-
-
-def rescale_field(fieldhist: FieldHistory, lam: float) -> RescaledField:
-    """Describe the rescaled field without resampling it."""
-    return RescaledField(fieldhist, float(lam))

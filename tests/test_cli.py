@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracburgers import FractionalOrder, cli, gamma, lower_bound_T
+from fracburgers import FractionalOrder, SolverConfig, cli, estimate_blowup, gamma, lower_bound_T
 from fracburgers.cli import _read_sampled_csv, main
 
 
@@ -223,6 +223,17 @@ class TestBlowup:
         assert round(finest["escape_time"] / finest["step"]) == 50
         assert (report["t_lo"], report["t_hi"]) == (0.0040999999999999995, 0.0051)
         assert main(["blowup", "--alpha", "0.5", "--threshold", "1e6"]) == 2  # no such option
+
+    # the acceptance alphas, the edge alpha and three alphas whose ladder
+    # moves by an escape step between the thresholds 1e6 and 1e10
+    @pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.7", "0.9", "1", "0.2241144715294", "0.2448717948717949",
+                                       "0.5615384615384615", "0.9512820512820513"])
+    def test_library_ladder_is_the_cli_ladder(self, capsys, alpha):
+        rc, report = run_json(capsys, ["blowup", "--alpha", alpha])
+        assert rc == 0
+        est = estimate_blowup(FractionalOrder(float(alpha)), SolverConfig(8e-4, 1.7))
+        trace = [(e["step"], e["threshold"], e["escape_time"]) for e in report["refinement_trace"]]
+        assert (report["t_lo"], report["t_hi"], trace) == (est.t_lo, est.t_hi, est.refinement_trace)
 
     def test_unrepresentable_lower_bound_exits_3(self, capsys):
         assert main(["blowup", "--alpha", "0.005"]) == 3
@@ -433,6 +444,7 @@ class TestPde:
 STEP_INVALID = "error: step must be finite and > 0"
 HORIZON_INVALID = "error: horizon must be finite and > 0"
 RATIO_INVALID = "error: horizon / step must be finite"
+STEP_OVER_HORIZON = "error: step 0.02 must not exceed horizon 0.005"
 
 
 # Each value goes in as "--flag=value": argparse reads a bare "-1e-3" as an
@@ -449,6 +461,7 @@ RATIO_INVALID = "error: horizon / step must be finite"
     ("1e-300", "1e300", RATIO_INVALID),
     ("5e-324", "1e300", RATIO_INVALID),
     ("5e-324", "0.01", RATIO_INVALID),
+    ("0.02", "0.005", STEP_OVER_HORIZON),  # a march would pass the horizon
 ])
 @pytest.mark.parametrize("command", [
     (["impulse"], "--h", "--t-max"),

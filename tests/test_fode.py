@@ -103,7 +103,6 @@ class TestConfig:
 
     def test_nonlinearity_factories(self):
         assert SQUARE(3.0) == 9.0
-        assert Nonlinearity.zero()(7.0) == 0.0
         capped = Nonlinearity.capped_square(4.0)
         assert capped(3.0) == 9.0
         assert capped(5.0) == 16.0
@@ -114,7 +113,7 @@ class TestConfig:
 class TestSolve:
     def test_zero_forcing_is_constant(self):
         for alpha in (0.3, 0.8, 1.0):
-            traj = solve(Nonlinearity.zero(), 3.0, FractionalOrder(alpha), SolverConfig(0.01, 1.0))
+            traj = solve(Nonlinearity(lambda r: 0.0), 3.0, FractionalOrder(alpha), SolverConfig(0.01, 1.0))
             assert traj.status == "completed"
             assert np.all(traj.values == 3.0)
 
@@ -416,7 +415,7 @@ class TestBlowupEstimate:
         monkeypatch.setattr(fode, "solve", counting)
         est = estimate_blowup(FractionalOrder(0.5), SolverConfig(8e-4, 1.7), refinements=refinements)
         assert len(calls) == refinements + 1
-        assert {c.escape_threshold for c in calls} == {1e6}
+        assert {c.escape_threshold for c in calls} == {1e10}
         assert len(est.refinement_trace) == refinements + 1
 
     @pytest.mark.parametrize(
@@ -475,10 +474,10 @@ class TestBlowupEstimate:
     def test_rung_records(self, alpha):
         order = FractionalOrder(alpha)
         est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
-        assert est.threshold == 1e6
+        assert est.threshold == 1e10
         assert [r.step for r in est.rungs] == [8e-4 / 2 ** i for i in range(4)]
         for rung in est.rungs:
-            traj = solve(SQUARE, 1.0, order, SolverConfig(rung.step, 1.7, 1e6))
+            traj = solve(SQUARE, 1.0, order, SolverConfig(rung.step, 1.7, est.threshold))
             assert rung.steps == traj.escape_index
             assert rung.wall_s > 0.0
         *coarse, finest = est.rungs
@@ -488,7 +487,7 @@ class TestBlowupEstimate:
         assert finest.window == tuple(zip(traj.times[inside].tolist(), v[inside].tolist()))
         assert len(finest.window) >= 30
         # the trace is read from the records
-        assert est.refinement_trace == [(r.step, 1e6, r.steps * r.step) for r in est.rungs]
+        assert est.refinement_trace == [(r.step, est.threshold, r.steps * r.step) for r in est.rungs]
 
     def test_partial_trace_names_first_missing_rung(self):
         # the coarsest march passes 1e10 after 227 steps, beyond the horizon

@@ -54,7 +54,6 @@ class TestGridTypes:
     def test_spanning_step_count(self):
         assert TimeGrid.spanning(1e-3, 1.0) == TimeGrid(1e-3, 1000)
         assert TimeGrid.spanning(0.5, 1.25).count == 2  # 2.5 rounds half to even
-        assert TimeGrid.spanning(2.0, 1.0).count == 1  # at least one step
         assert TimeGrid.spanning(1e-12, 1.0).count == 10 ** 12  # no step budget
 
     @pytest.mark.parametrize("step, horizon, message", [
@@ -63,6 +62,7 @@ class TestGridTypes:
         (1e-3, -math.inf, "horizon must be finite and > 0"),
         (1e-300, 1e300, "horizon / step must be finite"),
         (5e-324, 0.01, "horizon / step must be finite"),
+        (2.0, 1.0, "step 2.0 must not exceed horizon 1.0"),
     ])
     def test_spanning_refuses(self, step, horizon, message):
         with pytest.raises(ValueError, match=message):

@@ -102,7 +102,7 @@ class TestTable:
 
     def test_classical_column_is_step_count(self):
         table = impulse_table(CAPTION_TRAIN, CAPTION_ALPHAS, TimeGrid(0.01, 500))
-        col = table.column(1.0)
+        col = table.values[:, CAPTION_ALPHAS.index(1.0)]
         assert np.all(col == np.round(col))
         assert np.all(np.diff(col) >= 0.0)
         assert col[-1] == 4.0
@@ -113,8 +113,8 @@ class TestTable:
         table = impulse_table(CAPTION_TRAIN, CAPTION_ALPHAS, TimeGrid(0.5, 100))
         i_late = int(np.argmin(np.abs(table.times - 50.0)))
         i_near = int(np.argmin(np.abs(table.times - 4.5)))
-        for alpha in CAPTION_ALPHAS[:-1]:
-            col = table.column(alpha)
+        for j in range(len(CAPTION_ALPHAS) - 1):
+            col = table.values[:, j]
             assert col[i_late] < col[i_near]
 
     def test_rejects_orders_outside_unit_interval(self):

@@ -1,7 +1,7 @@
 """Space-time solver: fixed points, conservation, the exact affine
 equivalence between the two flux forms (the density form checked against
 its own direct scheme), CFL enforcement, monotone extrema, product-form
-fields, and the lazy rescaling description."""
+fields."""
 
 import math
 import sys
@@ -23,13 +23,10 @@ from fracburgers import (
     TimeGrid,
     lower_bound_T,
     market_density,
-    rescale_field,
-    rho_to_u,
     separable_solution,
     solve,
     solve_rho,
     solve_u,
-    u_to_rho,
 )
 
 
@@ -191,8 +188,7 @@ class TestConservationAndTransform:
         tg = TimeGrid(3e-4, 200)
         rho_run = solve_rho(rho0, FO(alpha), sp, tg, BoundaryRule.periodic())
         u_run = solve_u(2 * rho0 - 1, FO(alpha), sp, tg, BoundaryRule.periodic())
-        transformed = rho_to_u(rho_run)
-        assert np.max(np.abs(transformed.slices - u_run.slices)) <= 1e-9
+        assert np.max(np.abs((2 * rho_run.slices - 1) - u_run.slices)) <= 1e-9
 
     @settings(max_examples=30)
     @given(
@@ -233,27 +229,30 @@ class TestConservationAndTransform:
         assert rho_run.status == u_run.status == "completed"
         # roundoff only: the density march is the transport march of the same
         # u0 = 2 rho0 - 1, so the gap is the rounding of the map back to rho
-        # and of rho_to_u
-        gap = np.max(np.abs(rho_to_u(rho_run).slices - u_run.slices))
+        # and of 2 rho - 1
+        gap = np.max(np.abs((2 * rho_run.slices - 1) - u_run.slices))
         assert gap <= 1e-13
 
     def test_transform_round_trip(self):
+        # the maps solve_rho marches through, u = c (2 rho - rho_max) and back
         sp = SpatialGrid(-1, 1, 16)
         x = sp.nodes(True)
         field = solve_rho(
             0.5 + 0.1 * np.sin(np.pi * x), FO(0.5), sp, TimeGrid(1e-4, 20),
             BoundaryRule.periodic(),
         )
-        back = u_to_rho(rho_to_u(field))
-        np.testing.assert_allclose(back.slices, field.slices, rtol=0, atol=1e-15)
+        for params in (MarketParams(), *MARKETS):
+            back = pde._to_rho(pde._to_u(field.slices, params), params)
+            np.testing.assert_allclose(back, field.slices, rtol=0, atol=1e-15)
 
     def test_transform_constants(self):
+        # the critical density rho_max / 2 maps to u = 0, and rho_max to c rho_max
         sp = SpatialGrid(-1, 1, 16)
-        tg = TimeGrid(1e-4, 5)
-        half = solve_rho(np.full(16, 0.5), FO(0.5), sp, tg, BoundaryRule.periodic())
-        assert np.all(rho_to_u(half).slices == 0.0)
-        ones = solve_rho(np.full(16, 1.0), FO(0.5), sp, tg, BoundaryRule.periodic())
-        assert np.all(rho_to_u(ones).slices == 1.0)
+        tg = TimeGrid(1e-5, 5)
+        for params in (MarketParams(), *MARKETS):
+            for rho, u in ((0.5 * params.rho_max, 0.0), (params.rho_max, params.c_tilde * params.rho_max)):
+                run = solve_rho(np.full(16, rho), FO(0.5), sp, tg, BoundaryRule.periodic(), params)
+                assert np.all(pde._to_u(run.slices, params) == u), (params, rho)
 
 
 class TestDirectScheme:
@@ -565,43 +564,3 @@ class TestProductFormFields:
         assert market_density(traj, 0.0, 0.45) == 0.5
         assert market_density(traj, 0.3, 0.0) == pytest.approx((1 - 0.3) / 2, rel=1e-12)
         assert market_density(traj, 0.5, 0.5) == pytest.approx(0.0, abs=1e-5)
-
-
-class TestRescaledField:
-    @pytest.fixture()
-    def base(self):
-        sp = SpatialGrid(-1, 1, 16)
-        tg = TimeGrid(0.005, 20)
-        return solve_u(
-            -sp.nodes(False), FO(1.0), sp, tg,
-            BoundaryRule.dirichlet(lambda x, t: -x / (1.0 - t)),
-        )
-
-    def test_identity(self, base):
-        r = rescale_field(base, 1.0)
-        x = base.x[12]
-        assert r.evaluate(x, 0.05) == pytest.approx(base.slices[10][12], rel=1e-12)
-        assert r.x_min == base.x[0] and r.x_max == base.x[-1]
-
-    def test_domain_maps_and_initial_datum(self, base):
-        r = rescale_field(base, 2.0)
-        assert r.x_min == pytest.approx(-0.5)
-        assert r.x_max == pytest.approx(0.5)
-        assert r.t_max == pytest.approx(base.time.horizon / 2.0)
-        # u0^(lam)(x) = u0(lam^alpha x) = -2x for the unit-slope datum
-        assert r.initial_datum(0.25) == pytest.approx(-0.5, rel=1e-12)
-
-    def test_domain_errors(self, base):
-        r = rescale_field(base, 2.0)
-        with pytest.raises(ValueError):
-            r.evaluate(0.75, 0.0)
-        with pytest.raises(ValueError):
-            r.evaluate(0.0, base.time.horizon)
-        with pytest.raises(ValueError):
-            rescale_field(base, 0.0)
-
-    def test_escape_time_scaling_via_product_form(self, base):
-        # doubling lam doubles the initial slope, halving the blow-up time
-        e1 = solve(Nonlinearity.square(), 1.0, FO(1.0), SolverConfig(2e-4, 1.7)).escape_time
-        e2 = solve(Nonlinearity.square(), 2.0, FO(1.0), SolverConfig(2e-4, 1.7)).escape_time
-        assert e2 / e1 == pytest.approx(0.5, abs=0.02)
