@@ -16,7 +16,6 @@ from .bounds import (
     limit_upper_bound,
     lower_bound_T,
     lower_bound_constants,
-    monotonicity_scan_b,
     upper_bound_b,
 )
 from .fode import (
@@ -98,7 +97,6 @@ __all__ = [
     "lower_bound_T",
     "envelope_w",
     "envelope_z",
-    "monotonicity_scan_b",
     # impulse
     "ImpulseTrain",
     "ImpulseTable",

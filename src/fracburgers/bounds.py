@@ -35,7 +35,6 @@ __all__ = [
     "lower_bound_T",
     "envelope_w",
     "envelope_z",
-    "monotonicity_scan_b",
 ]
 
 
@@ -159,12 +158,3 @@ def envelope_z(order: FractionalOrder, delta: float, t: float) -> float:
     if t < 0.0 or t >= 1.0 / c.b:
         raise ValueError(f"t must lie in [0, {1.0 / c.b}), got {t}")
     return c.b / (c.a * (1.0 - c.b * t)) + 1.0 - c.b / c.a
-
-
-def monotonicity_scan_b(samples: int) -> bool:
-    """Whether alpha -> upper_bound_b(alpha) is strictly decreasing on [0.01, 0.99]."""
-    if samples < 10:
-        raise ValueError(f"samples must be >= 10, got {samples}")
-    alphas = np.linspace(0.01, 0.99, samples)
-    vals = np.array([upper_bound_b(FractionalOrder(a)) for a in alphas])
-    return bool(np.all(np.diff(vals) < 0.0))

@@ -246,8 +246,9 @@ def _cmd_pde(args: argparse.Namespace) -> int:
     if args.bc == "periodic":
         bc = _pde.BoundaryRule.periodic()
     elif args.initial == "minus-x":
-        # inflow from the product-form reference; requires its own trajectory
-        config = _fode.SolverConfig(args.h, tgrid.horizon, args.threshold)
+        # inflow from the product-form reference, marched at the ladder's
+        # threshold: the field's --threshold bounds the field, not v(t)
+        config = _fode.SolverConfig(args.h, tgrid.horizon)
         traj = _fode.solve(_fode.Nonlinearity.square(), 1.0, order, config)
         if traj.status == "escaped" and traj.escape_time < args.t_max:
             raise ConsistencyError(

@@ -93,8 +93,8 @@ class SolverConfig:
     ``TimeGrid.spanning(step, horizon)``, which refuses a step longer than
     the horizon. The default threshold 1e10 is the one the blow-up ladder
     marches at, for :func:`estimate_blowup` and the ``blowup`` command
-    alike; the ``solve`` and ``pde`` commands pass their ``--threshold``,
-    1e6 by default.
+    alike, and the one the ``pde`` command's product-form inflow marches
+    at; ``solve`` passes its ``--threshold``, 1e6 by default.
     """
 
     step: float

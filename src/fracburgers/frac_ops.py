@@ -153,11 +153,19 @@ class SampledFunction:
         return self.grid.times
 
     def value_at(self, t: float) -> float:
-        """Linear interpolation between nodes; t must lie in [0, horizon]."""
+        """Linear interpolation between nodes; t must lie in [0, horizon].
+
+        Reads only the two nodes around t, the same value as ``np.interp``
+        over the whole grid.
+        """
         t = float(t)
         if t < 0.0 or t > self.grid.horizon * (1.0 + 1e-12):
             raise ValueError(f"t={t} outside the sampled domain [0, {self.grid.horizon}]")
-        return float(np.interp(t, self.times, self.values))
+        step, count = self.grid.step, self.grid.count
+        i = min(int(t / step), count - 1)  # the interval [t_i, t_i+1] that holds t,
+        if t < i * step:  # unless t / step rounded up onto node i
+            i -= 1
+        return float(np.interp(t, np.arange(i, i + 2.0) * step, self.values[i : i + 2]))
 
 
 def _power_increments(p: float, count: int) -> np.ndarray:

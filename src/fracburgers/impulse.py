@@ -99,12 +99,7 @@ def impulse_table(train: ImpulseTrain, alphas: list[float], grid: TimeGrid) -> I
     """
     if not alphas:
         raise ValueError("need at least one order")
-    orders = []
-    for a in alphas:
-        a = float(a)
-        if not 0.0 < a <= 1.0:
-            raise ValueError(f"orders must lie in (0, 1], got {a}")
-        orders.append(a)
+    orders = [FractionalOrder(a).alpha for a in alphas]
 
     times = grid.times.copy()
     tol = max(1e-12, 1e-12 * float(train.times[-1]))

@@ -7,6 +7,13 @@ monotone Godunov upwind flux in space. The occupancy-density form
 u = c*(2 rho - rho_max), so `solve_rho` maps its data to u, marches the one
 transport scheme and maps the slices back.
 
+Both boundary kinds take one step (the ghost-cell form of finite-volume
+boundaries, LeVeque 2002, ch. 7): the Godunov flux on the faces of an
+extended slice, then the L1 update of the nodes between them. A periodic
+slice is extended by its two wrap images and every node is updated; a
+Dirichlet slice is its own extension, its inner nodes are updated and its two
+edge nodes are written from the boundary rule.
+
 The L1 history sum of every node comes from one frac_ops.LaggedSum over the
 past slice differences, walked one base block of steps at a time
 (LaggedSum.blocks), with one matrix product per two steps (the odd step
@@ -189,6 +196,7 @@ def _march(
     g2 = gamma(2.0 - alpha)
     dt_eff = g2 * h ** alpha
     cfl_scale = h ** alpha / (g2 * dx)
+    inner = slice(None) if periodic else slice(1, -1)  # the nodes the flux updates
 
     # L1 weights b_1..b_m on the past slice differences u^(n-k) - u^(n-k-1):
     # step n reads the memory sum of target s = n - 1 and writes its difference there
@@ -230,18 +238,13 @@ def _march(
                     pair = near[r >> 1].dot(history[b0:s])  # (2, nodes): targets s and s + 1
                     near_sum = pair[0]
                 hist = far[r] + near_sum
-                if periodic:
-                    # periodic neighbours by concatenation: np.roll costs several times more
-                    f_right = _godunov_flux(prev, np.concatenate((prev[1:], prev[:1])))
-                    div = (f_right - np.concatenate((f_right[-1:], f_right[:-1]))) / dx
-                    new = prev - hist - dt_eff * div
-                else:
-                    f_iface = _godunov_flux(prev[:-1], prev[1:])
-                    new = np.empty_like(prev)
-                    t_n = n * h
-                    new[0] = bc.callback(spatial.x_min, t_n)
-                    new[-1] = bc.callback(spatial.x_max, t_n)
-                    new[1:-1] = prev[1:-1] - hist[1:-1] - dt_eff * (f_iface[1:] - f_iface[:-1]) / dx
+                ext = np.concatenate((prev[-1:], prev, prev[:1])) if periodic else prev
+                flux = _godunov_flux(ext[:-1], ext[1:])
+                new = prev - hist
+                new[inner] -= dt_eff * ((flux[1:] - flux[:-1]) / dx)
+                if not periodic:
+                    new[0] = bc.callback(spatial.x_min, n * h)
+                    new[-1] = bc.callback(spatial.x_max, n * h)
 
                 new_hi, new_lo = float(new.max()), float(new.min())  # NaN and inf carry through both
                 if not (math.isfinite(new_hi) and math.isfinite(new_lo)):

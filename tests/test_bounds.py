@@ -17,7 +17,6 @@ from fracburgers import (
     limit_upper_bound,
     lower_bound_T,
     lower_bound_constants,
-    monotonicity_scan_b,
     upper_bound_b,
 )
 
@@ -82,9 +81,8 @@ class TestUpperBound:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_monotonicity_scan(self):
-        assert monotonicity_scan_b(99) is True
-        with pytest.raises(ValueError):
-            monotonicity_scan_b(9)
+        vals = [upper_bound_b(FO(a)) for a in np.linspace(0.01, 0.99, 99)]
+        assert np.all(np.diff(vals) < 0.0)
 
 
 class TestLimitUpperBound:

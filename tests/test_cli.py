@@ -419,6 +419,19 @@ class TestPde:
         _, data = read_csv(tmp_path / "pde.csv")
         assert np.unique(data[:, 0]).tolist() == [0.0, 0.01]
 
+    @pytest.mark.parametrize("threshold, escape_index", [("1.2", 180), ("1", 1)])
+    def test_field_threshold_leaves_the_inflow_reference_alone(self, tmp_path, threshold, escape_index):
+        # v(0.1) = 1.955 passes both thresholds; only the field escapes them
+        rc = main([
+            "pde", "--form", "u", "--alpha", "0.5", "--cells", "16", "--h", "1e-4",
+            "--t-max", "0.1", "--bc", "dirichlet", "--initial", "minus-x",
+            "--threshold", threshold, "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "pde_manifest.json").read_text())
+        assert manifest["status"] == "escaped"
+        assert manifest["escape_index"] == escape_index
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
     @pytest.mark.parametrize("form", ["u", "rho"])

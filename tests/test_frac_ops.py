@@ -81,11 +81,28 @@ class TestGridTypes:
                 FractionalOrder(bad)
         assert FractionalOrder(1.0).is_classical
 
-    def test_value_at_interpolates(self):
+    def test_value_at_interpolates(self, monkeypatch):
         f = sample(lambda t: 2 * t, 0.1, 10)
         assert f.value_at(0.35) == pytest.approx(0.7, rel=1e-14)
         with pytest.raises(ValueError):
             f.value_at(1.5)
+        # two knots give the full-grid interpolant bit for bit: at every node,
+        # one ulp either side of it, at random times and just past the horizon
+        rng = np.random.default_rng(23)
+        cases = []
+        for _ in range(30):
+            grid = TimeGrid(float(10 ** rng.uniform(-5, 0)), int(rng.integers(1, 2000)))
+            f = SampledFunction(grid, rng.standard_normal(grid.count + 1))
+            nodes = grid.times
+            t = np.concatenate((
+                nodes, np.nextafter(nodes[1:], -np.inf), np.nextafter(nodes[:-1], np.inf),
+                rng.uniform(0.0, grid.horizon, 500), [grid.horizon * (1.0 + 1e-13)],
+            ))
+            cases.append((f, t, np.interp(t, nodes, f.values)))
+        # and without building the grid's nodes
+        monkeypatch.setattr(TimeGrid, "times", property(lambda grid: pytest.fail("read TimeGrid.times")))
+        for f, t, expected in cases:
+            assert [f.value_at(v) for v in t.tolist()] == expected.tolist()
 
 
 class TestCaputo:
