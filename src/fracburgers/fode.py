@@ -9,7 +9,7 @@ discrete Volterra equation itself. alpha = 1 is routed to an explicit
 second-order one-step method.
 
 The march sums the history g_j = f(v_j) - f(v_0) in one frac_ops.LaggedSum
-with two weight rows, predictor and corrector (full sums, exact blocked-FFT
+with two weight rows, predictor and corrector (full sums, exact blocked
 reordering, no windowing: the memory term is the object under study), and
 adds f(v_0) through the closed-form weight sums of the rules on constants.
 It walks the sum one base block at a time (LaggedSum.blocks), in one tight
@@ -363,7 +363,7 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
 
     Every rung marches at the same alpha, so all of them read one set of
     weight tables (:meth:`frac_ops.LagTables.predictor_corrector`), built for
-    this call: each block level's spectrum is computed once, by the first
+    this call: each block level's table is computed once, by the first
     rung that reaches the level, and the sums are bit-identical to those of
     marches on tables of their own. The estimate keeps one
     :class:`RungRecord` per rung, from which its trace is derived.

@@ -19,16 +19,20 @@ sum g - g(t_0) and add g(t_0) times the closed-form weight sum.
 
 The marching solvers (fode, pde) take their memory terms from one
 primitive, :class:`LaggedSum`, which evaluates the full O(N^2) sum in
-O(N log^2 N) by an exact blocked-FFT reordering (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry
-and target is still summed once, with no history compression and no
-windowing, on buffers that grow with the march. A march walks it one base
-block of targets at a time (:meth:`LaggedSum.blocks`), so that its inner
-loop makes no call into it per step, and takes the direct part of two
-targets from one matrix product. Its weight tables live in a
-:class:`LagTables`, which marches of one weight kind share: it holds the
-paired near weights and builds each block level's spectrum from exactly
-that level's lags, the first time a march reaches the level.
+O(N log^2 N) by an exact blocked reordering (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry and target
+is still summed once, with no history compression and no windowing, on
+buffers that grow with the march. A march walks it one base block of
+targets at a time (:meth:`LaggedSum.blocks`), so that its inner loop makes
+no call into it per step, and takes the direct part of two targets from one
+matrix product. A block reaches the targets after it through one direct
+product with its level's Toeplitz matrix while that matrix holds at most
+2^16 weights (blocks of up to 2B entries for one weight row, B for two),
+and through one FFT beyond: on the short blocks the transforms cost more
+than the products. Its weight tables live in a :class:`LagTables`, which marches of
+one weight kind share: it holds the paired near weights and builds each
+block level's table from exactly that level's lags, the first time a march
+reaches the level.
 :func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
 in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
@@ -214,6 +218,10 @@ def _pt_weights(alpha: float, count: int) -> np.ndarray:
 
 
 _BLOCK = 128  # base block B of LaggedSum: lags below it are summed directly
+# the most weights of a block level's Toeplitz matrix: a level within it is added
+# by one direct product, a longer one by FFT (a larger matrix costs more to build
+# and to read at each flush of a scalar history than its transform)
+_DIRECT_ENTRIES = 1 << 16
 _FFT_ENTRIES = 1 << 16  # complex entries per column chunk of a block transform
 
 
@@ -223,23 +231,23 @@ class LagTables:
     ``weights(m)`` returns w_1..w_m, as one row or as several rows (shape
     (rows, m)); its entries must depend on the lag k alone, not on m. The
     object memoizes what marches read and never write: the near part of the
-    direct sum and one spectrum per block level L (from ``weights(2L - 1)``,
-    at the first request). The near part comes from one ``weights(B - 1)``
-    call and pairs the targets of a base block, so that one product serves
-    two of them: `near[q]`, for q = 0..B/2 - 1, stacks the weight rows of
-    target 2q (w_2q..w_1) over those of target 2q + 1 less its lag 1
-    (w_2q+1..w_2), both against the 2q entries before target 2q, as one
-    C-contiguous matrix of shape (2R, 2q) for R weight rows. `lag1` holds
-    w_1 (a float, or a list of one float per row), the term the odd target
-    still lacks on the entry written after the even one. `rows` is the
-    shape of one weight column: () for a 1-D table, (R,) for R rows. Its
-    contents depend only on the levels reached, so marches of one weight
+    direct sum and one table per block level L (from ``weights(2L - 1)``, at
+    the first request, :meth:`level`). The near part comes from one
+    ``weights(B - 1)`` call and pairs the targets of a base block, so that
+    one product serves two of them: `near[q]`, for q = 0..B/2 - 1, stacks
+    the weight rows of target 2q (w_2q..w_1) over those of target 2q + 1
+    less its lag 1 (w_2q+1..w_2), both against the 2q entries before target
+    2q, as one C-contiguous matrix of shape (2R, 2q) for R weight rows.
+    `lag1` holds w_1 (a float, or a list of one float per row), the term the
+    odd target still lacks on the entry written after the even one. `rows`
+    is the shape of one weight column: () for a 1-D table, (R,) for R rows.
+    Its contents depend only on the levels reached, so marches of one weight
     kind (the rungs of a blow-up ladder) share one object and compute each
     table once. The package's weight kinds are :meth:`predictor_corrector`
     (fode) and :meth:`l1` (pde).
     """
 
-    __slots__ = ("_weights", "rows", "near", "lag1", "_spectra")
+    __slots__ = ("_weights", "rows", "near", "lag1", "_levels")
 
     def __init__(self, weights: Callable[[int], np.ndarray]):
         self._weights = weights
@@ -252,7 +260,7 @@ class LagTables:
             np.concatenate((lags[:, last - 2 * q : last], lags[:, last - 1 - 2 * q : last - 1]))
             for q in range(_BLOCK // 2)
         ]
-        self._spectra: list[np.ndarray] = []  # level l: (rows, B 2^l + 1, 1)
+        self._levels: list[np.ndarray] = []  # level l: its Toeplitz matrix or its spectrum
 
     @classmethod
     def predictor_corrector(cls, alpha: float) -> "LagTables":
@@ -264,15 +272,28 @@ class LagTables:
         """The L1 weights b_1..b_m of the Caputo march, on past increments."""
         return cls(lambda m: _power_increments(1.0 - alpha, m + 1)[1:])
 
-    def spectrum(self, level: int) -> np.ndarray:
-        """The spectrum of the lags of block level `level`, shape (rows, L + 1, 1)."""
-        if level == len(self._spectra):  # a march reaches its levels in increasing order
+    def level(self, level: int) -> np.ndarray:
+        """The lags w_1..w_{2L-1} of block level `level` (L = B 2^level), as its flush reads them.
+
+        For R weight rows, while R L^2 <= ``_DIRECT_ENTRIES`` (L <= 2B for one
+        row, L = B for two) they form a Toeplitz matrix of shape (L R, L): row
+        i R + r holds weight row r of target i after the block, w_{L+i-j}
+        against entry j of the block. Beyond it they form a spectrum of shape
+        (R, L + 1, 1).
+        """
+        if level == len(self._levels):  # a march reaches its levels in increasing order
             size = _BLOCK << level
-            # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
-            # rotated by one lag, so the block outputs are read one index early
-            spectrum = np.fft.rfft(self._weights(2 * size - 1), 2 * size)
-            self._spectra.append(spectrum.reshape(-1, size + 1, 1))
-        return self._spectra[level]
+            lags = self._weights(2 * size - 1).reshape(-1, 2 * size - 1)
+            if len(lags) * size * size <= _DIRECT_ENTRIES:
+                # window p of w_{2L-1}..w_1 is w_{2L-1-p}..w_{L-p}: the row of target L - 1 - p
+                windows = np.lib.stride_tricks.sliding_window_view(lags[:, ::-1], size, axis=-1)
+                table = np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2)).reshape(-1, size)
+            else:
+                # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
+                # rotated by one lag, so the block outputs are read one index early
+                table = np.fft.rfft(lags, 2 * size)[..., None]
+            self._levels.append(table)
+        return self._levels[level]
 
 
 class LaggedSum:
@@ -295,9 +316,14 @@ class LaggedSum:
       (:class:`LagTables`), plus the lag-1 term of the odd target;
     * far part: when the history length s reaches a multiple of B, with
       L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s] adds
-      its contribution to the targets s..s+L-1 through one real FFT of length
-      2L against w_0..w_{2L-1} (w_0 = 0). That weight segment is the same for
-      every block of a level, so the tables hold one spectrum per level.
+      its contribution to the targets s..s+L-1 through the lags
+      w_1..w_{2L-1}: as one direct product with their Toeplitz matrix while
+      that holds at most 2^16 weights (L <= 2B for one weight row, L = B for
+      two), computed whole and read in its first rows, so that no bit
+      depends on the capacity; beyond it through one real FFT of length 2L
+      against w_0..w_{2L-1} (w_0 = 0). That weight segment is the same for
+      every block of a level, so the tables hold one matrix or spectrum per
+      level (:meth:`LagTables.level`).
 
     Every (target, source) pair is counted exactly once, by the near part or
     by the one block pair whose halves separate them; nothing is compressed or
@@ -364,13 +390,17 @@ class LaggedSum:
             self._history.resize((rows, *self._history.shape[1:]), refcheck=False)
             if self._far is not self._history:
                 self._far.resize((rows, *self._far.shape[1:]), refcheck=False)
-        spectrum = self._tables.spectrum(level)  # (rows, L + 1, 1): read one index early
+        table = self._tables.level(level)
         block = self._history[s - size : s].reshape(size, -1)
-        far = self._far[s : s + count].reshape(count, len(spectrum), -1)
+        far = self._far[s : s + count].reshape(count, -1, block.shape[1])
+        if table.ndim == 2:  # a Toeplitz matrix, not a spectrum
+            # the whole product for any count, so that no bit depends on the capacity
+            far += np.dot(table, block).reshape(size, -1, block.shape[1])[:count]
+            return
         chunk = max(1, _FFT_ENTRIES // (size + 1))
         for c in range(0, block.shape[1], chunk):
             g = np.fft.rfft(block[:, c : c + chunk], 2 * size, axis=0)
-            for row, w in enumerate(spectrum):  # one row at a time bounds the temporaries
+            for row, w in enumerate(table):  # one row at a time bounds the temporaries
                 tail = np.fft.irfft(w * g, 2 * size, axis=0)
                 far[:, row, c : c + chunk] += tail[size - 1 : size - 1 + count]
 

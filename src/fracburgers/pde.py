@@ -12,17 +12,19 @@ boundaries, LeVeque 2002, ch. 7): the Godunov flux on the faces of an
 extended slice, then the L1 update of the nodes between them. A periodic
 slice is extended by its two wrap images and every node is updated; a
 Dirichlet slice is its own extension, its inner nodes are updated and its two
-edge nodes are written from the boundary rule.
+edge nodes are written from the boundary rule. The step runs on buffers
+allocated once per march, with ``out=`` ufuncs, and writes the new slice
+straight into its row of the retained slices.
 
 The L1 history sum of every node comes from one frac_ops.LaggedSum over the
 past slice differences, walked one base block of steps at a time
 (LaggedSum.blocks), with one matrix product per two steps (the odd step
 adds its lag-1 term b_1 times the difference just written): the full sum,
-reordered exactly into blocked FFTs, so
-N steps on M nodes cost O(M N log^2 N) instead of O(M N^2). The far sums of
-future steps wait in the history buffer's not-yet-written rows and the block
-transforms run on column chunks, so the march needs about the memory of the
-direct sum.
+reordered exactly into dyadic blocks, the two smallest block levels added by
+direct products and the longer ones by FFTs, so N steps on M nodes cost
+O(M N log^2 N) instead of O(M N^2). The far sums of future steps wait in the
+history buffer's not-yet-written rows and the block transforms run on column
+chunks, so the march needs about the memory of the direct sum.
 
 Each explicit step is monotone under the enforced CFL restriction
 dt^alpha * max|u| / (Gamma(2-alpha) dx) <= 0.5, checked per step against
@@ -165,12 +167,6 @@ class FieldHistory:
         return self.time.times
 
 
-def _godunov_flux(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Monotone Godunov flux of u^2/2, a convex flux with its minimum at 0."""
-    up, down = np.maximum(left, 0.0), np.minimum(right, 0.0)
-    return np.maximum(0.5 * up * up, 0.5 * down * down)
-
-
 def _march(
     u0: np.ndarray,
     order: FractionalOrder,
@@ -194,7 +190,7 @@ def _march(
     dx = spatial.dx
     n_steps = time.count
     g2 = gamma(2.0 - alpha)
-    dt_eff = g2 * h ** alpha
+    flux_scale = 0.5 * g2 * h ** alpha / dx  # dt_eff / dx, with the 1/2 of the flux u^2/2
     cfl_scale = h ** alpha / (g2 * dx)
     inner = slice(None) if periodic else slice(1, -1)  # the nodes the flux updates
 
@@ -219,40 +215,66 @@ def _march(
         slices.resize((last + 1, x.size), refcheck=False)
         return x, slices, status, escape_index
 
+    # the step's buffers, allocated once: the ghost-extended slice of a
+    # periodic march (a Dirichlet slice is its own extension), the squared
+    # upwind speeds on its faces and their differences, the pair product of
+    # an even and an odd target and the odd one's lag-1 term; the new slice
+    # is written straight into its row
+    ext = np.empty(x.size + 2)
+    faces = np.empty(x.size + 1 if periodic else x.size - 1)
+    div = np.empty(faces.size - 1)
+    pair = np.empty((2, x.size))
+    even, odd = pair
+    lag = np.empty(x.size)
+
     # a slice that overflows ends the march below, as an escape or as the
     # first-step error, so numpy's overflow warnings are not raised
     with np.errstate(over="ignore", invalid="ignore"):
         for b0, far, history in memory.blocks():
             for s in range(b0, b0 + len(far)):
                 n = s + 1
-                prev = slices[s]
                 ratio = cfl_scale * peak
                 if ratio > 0.5 + 1e-12:
-                    raise CflError(int(np.argmax(np.abs(prev))), n, ratio)
+                    raise CflError(int(np.argmax(np.abs(slices[s]))), n, ratio)
+                if n == len(slices):
+                    slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
+                prev, new = slices[s], slices[n]  # fetched after any resize
 
                 r = s - b0
+                hist = far[r]
                 if r & 1:  # the pair's odd target: its lag-1 term on the difference just written
-                    near_sum = pair[1]
-                    near_sum += b1 * history[s - 1]
+                    np.multiply(history[s - 1], b1, out=lag)
+                    odd += lag
+                    hist += odd
                 else:
-                    pair = near[r >> 1].dot(history[b0:s])  # (2, nodes): targets s and s + 1
-                    near_sum = pair[0]
-                hist = far[r] + near_sum
-                ext = np.concatenate((prev[-1:], prev, prev[:1])) if periodic else prev
-                flux = _godunov_flux(ext[:-1], ext[1:])
-                new = prev - hist
-                new[inner] -= dt_eff * ((flux[1:] - flux[:-1]) / dx)
+                    np.dot(near[r >> 1], history[b0:s], out=pair)  # targets s and s + 1
+                    hist += even
+                if periodic:
+                    ext[1:-1] = prev
+                    ext[0] = prev[-1]
+                    ext[-1] = prev[0]
+                    cells = ext
+                else:
+                    cells = prev
+                # the Godunov flux of u^2/2 on the face (l, r) is max(l, -r, 0)^2 / 2
+                np.negative(cells[1:], out=faces)
+                np.maximum(faces, cells[:-1], out=faces)
+                np.maximum(faces, 0.0, out=faces)
+                np.multiply(faces, faces, out=faces)
+                np.subtract(faces[1:], faces[:-1], out=div)
+                div *= flux_scale
+                np.subtract(prev, hist, out=new)
+                body = new[inner]
+                body -= div
                 if not periodic:
                     new[0] = bc.callback(spatial.x_min, n * h)
                     new[-1] = bc.callback(spatial.x_max, n * h)
 
-                new_hi, new_lo = float(new.max()), float(new.min())  # NaN and inf carry through both
+                # NaN and inf carry through both reductions
+                new_hi, new_lo = float(np.maximum.reduce(new)), float(np.minimum.reduce(new))
                 if not (math.isfinite(new_hi) and math.isfinite(new_lo)):
                     return finish(n - 1, "escaped", n)
-                history[s] = new - prev
-                if n == len(slices):
-                    slices.resize((min(2 * n, n_steps + 1), x.size), refcheck=False)
-                slices[n] = new
+                np.subtract(new, prev, out=history[s])
                 if new_hi > hi or new_lo < lo:
                     return finish(n, "escaped", n)
                 peak = max(new_hi, -new_lo)

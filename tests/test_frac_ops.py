@@ -413,7 +413,8 @@ def _walk(memory, g):
     near[r // 2] . history[b0:n], whose second half holds the near sum of
     target n + 1 less its lag-1 term, added once g_n is written. A scalar
     history sums Python floats, one per weight row, as fode does; a row
-    history sums ndarrays, as pde does. The far sum recorded is the
+    history sums ndarrays, as pde does, of shape (*rows, *shape) for the
+    weight rows of the tables. The far sum recorded is the
     buffer's, read before g_n overwrites it.
     """
     tables = memory._tables
@@ -425,12 +426,12 @@ def _walk(memory, g):
             r = n - b0
             if r % 2 == 0:
                 pair = tables.near[r // 2].dot(history[b0:n])
-                near_sum, odd = pair.reshape(2, -1).tolist() if scalar else pair
+                near_sum, odd = pair.reshape(2, -1).tolist() if scalar else pair.reshape(2, *far.shape[1:])
             elif scalar:
                 g_prev = history[n - 1].item()
                 near_sum = [x + w * g_prev for x, w in zip(odd, lag1)]
             else:
-                near_sum = odd + tables.lag1 * history[n - 1]
+                near_sum = odd + np.multiply.outer(tables.lag1, history[n - 1])
             if scalar:
                 s = [x + y for x, y in zip(far[r] if tables.rows else [far[r]], near_sum)]
                 s = s if tables.rows else s[0]
@@ -500,9 +501,47 @@ class TestLaggedSum:
         tables = frac_ops.LagTables(weights)
         _walk(frac_ops.LaggedSum(tables, capacity), np.ones(appends))
         # the near lags B - 1, then the lags 2L - 1 of each level L reached,
-        # each once: the level of 4B entries, not the capacity, bounds them
-        assert asked == [B - 1] + [2 * (B << level) - 1 for level in range(len(tables._spectra))]
+        # each once, into one table per level: the level of 4B entries, not
+        # the capacity, bounds them
+        assert asked == [B - 1] + [2 * (B << level) - 1 for level in range(len(tables._levels))]
         assert asked[-1] == longest
+
+    @pytest.mark.parametrize(
+        "kind, direct", [("predictor_corrector", [True, False, False]), ("l1", [True, True, False])]
+    )
+    def test_level_tables_hold_the_lags_of_their_targets(self, kind, direct):
+        # a level of R L^2 <= 2^16 weights (L = B for the two fode rows, B and
+        # 2B for the one pde row): a Toeplitz matrix whose row i R + r holds
+        # weight row r of target i after the block, w_{L+i-j} against entry j;
+        # beyond: the spectrum of w_1..w_{2L-1} padded with one zero
+        tables = getattr(frac_ops.LagTables, kind)(0.37)
+        for level, is_direct in enumerate(direct):
+            size = B << level
+            w = np.reshape(tables._weights(2 * size - 1), (-1, 2 * size - 1))  # column k - 1 holds w_k
+            table = tables.level(level)
+            if is_direct:
+                assert table.shape == (size * len(w), size) and table.flags.c_contiguous
+                i, j = np.indices((size, size))
+                want = w[:, size + i - j - 1].transpose(1, 0, 2)  # (target, weight row, entry)
+                assert np.array_equal(table.reshape(size, len(w), size), want)
+            else:
+                assert np.array_equal(table, np.fft.rfft(w, 2 * size)[..., None])
+
+    # a capacity that ends inside the targets of a level-0, 1 or 2 block
+    # adds only the first rows of that block's product or transform to the
+    # far sums; every sum below it has the bits of a walk with room for all
+    @pytest.mark.parametrize("short", [B + 37, 3 * B + 10, 5 * B + 21], ids=["level0", "level1", "level2"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("kind", ["predictor_corrector", "l1"])
+    def test_sums_do_not_depend_on_the_capacity(self, kind, shape, short):
+        rng = np.random.default_rng(short)
+        g = rng.standard_normal((short, *shape))
+        tables = getattr(frac_ops.LagTables, kind)(0.37)
+        sums = []
+        for capacity in (short, 8 * B):
+            walked = _walk(frac_ops.LaggedSum(tables, capacity, shape), g)
+            sums.append(np.array([s for s, _, _ in walked[:short]]).tobytes())
+        assert sums[0] == sums[1]
 
     @pytest.mark.parametrize("capacities", [(300, 3000), (3000, 300)])
     def test_shared_tables_give_the_bits_of_fresh_ones(self, capacities):
