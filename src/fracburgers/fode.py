@@ -14,9 +14,10 @@ reordering, no windowing: the memory term is the object under study), and
 adds f(v_0) through the closed-form weight sums of the rules on constants.
 It walks the sum one base block at a time (LaggedSum.blocks), in one tight
 loop per block with no method call per step, and one matrix-vector product
-per two steps: the pair product of an even target also gives the next, odd
-target its near sums less the lag-1 term, which the march adds in floats.
-Each block's powers (n+1)^alpha come from one numpy call.
+per four steps: the group product of the first target of a group of four
+also gives the next three their near sums less the lags inside the group,
+which the march adds in floats. Each block's powers (n+1)^alpha come from
+one numpy call.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class Nonlinearity:
         if not cap > 0.0:
             raise ValueError(f"cap must be > 0, got {cap!r}")
         cap2 = cap * cap
-        return cls(lambda r: min(r * r, cap2))
+        # the bits of min(r * r, cap2) on every float, NaN included, without the builtin's call
+        return cls(lambda r: cap2 if r * r > cap2 else r * r)
 
 
 @dataclass(frozen=True)
@@ -263,19 +265,20 @@ def _solve_fractional(
     # the corrector's weight 1 on f(v_{n+1}). The memory sums are walked one
     # base block of targets at a time: step n reads target n + 1 as the
     # block's far sums, Python floats, plus its near sum, and writes g_{n+1}
-    # after it. An even target takes its near sums from the pair product,
-    # which also gives the odd target after it all but the lag-1 term on
-    # g_{n+1}; that term is added in floats once g_{n+1} is written.
+    # after it. The first target of a group of four takes its near sums from
+    # the group product, which also gives the three after it all but their
+    # lags on the group's entries; those are added in floats once written.
     rhs = f.fn
     near = tables.near
-    w1_pred, w1_corr = tables.lag1
+    (w1_pred, w2_pred, w3_pred), (w1_corr, w2_corr, w3_corr) = tables.inner
     sums = LaggedSum(tables, n_steps + 1)
     f0 = float(rhs(v0))
     pred_f0 = c_pred * f0
     corr_f0 = (alpha + 1.0) * f0
     values = [v0]
     keep = values.append
-    g = pred_odd = corr_odd = 0.0  # g_0, and the near sums of target 1 less its lag-1 term
+    # g_0, the group's first two entries, and the near sums of targets 1..3 less their lags 1..3
+    g = g0 = g1 = pred1 = corr1 = pred2 = corr2 = pred3 = corr3 = 0.0
     for b0, far, history in sums.blocks():
         if not b0:
             history[0] = 0.0  # g_0
@@ -283,13 +286,22 @@ def _solve_fractional(
         for n in range(max(b0 - 1, 0), b0 + len(far) - 1):
             r = n + 1 - b0
             pred, corr = far[r]
-            if r & 1:
-                pred += pred_odd + w1_pred * g
-                corr += corr_odd + w1_corr * g
+            i = r & 3  # the target's place in its group of four
+            if not i:
+                pred0, corr0, pred1, corr1, pred2, corr2, pred3, corr3 = near[r >> 2].dot(history[b0 : n + 1]).tolist()
+                pred += pred0
+                corr += corr0
+            elif i == 1:
+                g0 = g
+                pred += pred1 + w1_pred * g
+                corr += corr1 + w1_corr * g
+            elif i == 2:
+                g1 = g
+                pred += pred2 + (w2_pred * g0 + w1_pred * g)
+                corr += corr2 + (w2_corr * g0 + w1_corr * g)
             else:
-                pred_even, corr_even, pred_odd, corr_odd = near[r >> 1].dot(history[b0 : n + 1]).tolist()
-                pred += pred_even
-                corr += corr_even
+                pred += pred3 + (w3_pred * g0 + w2_pred * g1 + w1_pred * g)
+                corr += corr3 + (w3_corr * g0 + w2_corr * g1 + w1_corr * g)
             p = powers[r]
             vp = v0 + c_pred * pred + pred_f0 * p
             hist = corr + (corr_f0 * p - f0)
@@ -345,8 +357,8 @@ def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder)
     only the summation path is independent (one full-length real FFT here,
     which shares no blocking with the march's lagged sums).
     """
-    fn = f.fn
-    fv = SampledFunction(traj.samples.grid, np.array([fn(r) for r in traj.values.tolist()]))
+    values = traj.values
+    fv = SampledFunction(traj.samples.grid, np.fromiter(map(f.fn, values.tolist()), float, len(values)))
     rhs = traj.values[0] + rl_fractional_integral(fv, order).values
     return float(np.max(np.abs(rhs - traj.values)))
 

@@ -24,15 +24,17 @@ SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry and target
 is still summed once, with no history compression and no windowing, on
 buffers that grow with the march. A march walks it one base block of
 targets at a time (:meth:`LaggedSum.blocks`), so that its inner loop makes
-no call into it per step, and takes the direct part of two targets from one
-matrix product. A block reaches the targets after it through one direct
+no call into it per step, and takes the direct part of four targets from
+one matrix product. A block reaches the targets after it through one direct
 product with its level's Toeplitz matrix while that matrix holds at most
 2^16 weights (blocks of up to 2B entries for one weight row, B for two),
 and through one FFT beyond: on the short blocks the transforms cost more
-than the products. Its weight tables live in a :class:`LagTables`, which marches of
-one weight kind share: it holds the paired near weights and builds each
-block level's table from exactly that level's lags, the first time a march
-reaches the level.
+than the products. The inverse FFT takes every weight row at once while
+they hold at most 2^16 complex entries, one row at a time beyond. Its
+weight tables live in a :class:`LagTables`, which marches of one weight
+kind share: it holds the near weights of each group of four targets and
+builds each block level's table from exactly that level's lags, the first
+time a march reaches the level.
 :func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
 in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
@@ -166,7 +168,9 @@ class SampledFunction:
         if t < 0.0 or t > self.grid.horizon * (1.0 + 1e-12):
             raise ValueError(f"t={t} outside the sampled domain [0, {self.grid.horizon}]")
         step, count = self.grid.step, self.grid.count
-        i = min(int(t / step), count - 1)  # the interval [t_i, t_i+1] that holds t,
+        i = int(t / step)  # the interval [t_i, t_i+1] that holds t, the last one from t_N on,
+        if i >= count:
+            i = count - 1
         if t < i * step:  # unless t / step rounded up onto node i
             i -= 1
         return float(np.interp(t, np.arange(i, i + 2.0) * step, self.values[i : i + 2]))
@@ -233,32 +237,33 @@ class LagTables:
     object memoizes what marches read and never write: the near part of the
     direct sum and one table per block level L (from ``weights(2L - 1)``, at
     the first request, :meth:`level`). The near part comes from one
-    ``weights(B - 1)`` call and pairs the targets of a base block, so that
-    one product serves two of them: `near[q]`, for q = 0..B/2 - 1, stacks
-    the weight rows of target 2q (w_2q..w_1) over those of target 2q + 1
-    less its lag 1 (w_2q+1..w_2), both against the 2q entries before target
-    2q, as one C-contiguous matrix of shape (2R, 2q) for R weight rows.
-    `lag1` holds w_1 (a float, or a list of one float per row), the term the
-    odd target still lacks on the entry written after the even one. `rows`
-    is the shape of one weight column: () for a 1-D table, (R,) for R rows.
+    ``weights(B - 1)`` call and groups the targets of a base block in fours,
+    so that one product serves four of them: `near[q]`, for q = 0..B/4 - 1,
+    stacks the weight rows of targets 4q, 4q + 1, 4q + 2 and 4q + 3, target
+    4q + i less its lags 1..i (w_4q+i..w_i+1), all against the 4q entries
+    before target 4q, as one C-contiguous matrix of shape (4R, 4q) for R
+    weight rows. `inner` holds w_1, w_2, w_3 (a list of three floats, or
+    one such list per row), the lags a target still lacks on the entries of
+    its own group written before it. `rows` is the shape of one weight
+    column: () for a 1-D table, (R,) for R rows.
     Its contents depend only on the levels reached, so marches of one weight
     kind (the rungs of a blow-up ladder) share one object and compute each
     table once. The package's weight kinds are :meth:`predictor_corrector`
     (fode) and :meth:`l1` (pde).
     """
 
-    __slots__ = ("_weights", "rows", "near", "lag1", "_levels")
+    __slots__ = ("_weights", "rows", "near", "inner", "_levels")
 
     def __init__(self, weights: Callable[[int], np.ndarray]):
         self._weights = weights
         table = weights(_BLOCK - 1)
         self.rows = table.shape[:-1]
-        self.lag1 = table[..., 0].tolist()
+        self.inner = table[..., :3].tolist()
         lags = table.reshape(-1, _BLOCK - 1)[:, ::-1]  # w_{B-1}..w_1 per row: column B - 1 - k holds w_k
         last = _BLOCK - 1
         self.near = [
-            np.concatenate((lags[:, last - 2 * q : last], lags[:, last - 1 - 2 * q : last - 1]))
-            for q in range(_BLOCK // 2)
+            np.concatenate([lags[:, last - 4 * q - i : last - i] for i in range(4)])
+            for q in range(_BLOCK // 4)
         ]
         self._levels: list[np.ndarray] = []  # level l: its Toeplitz matrix or its spectrum
 
@@ -312,8 +317,9 @@ class LaggedSum:
     O(n^2):
 
     * near part: the lags inside the current base block of B = 128 entries,
-      one direct product of fewer than B terms per pair of targets
-      (:class:`LagTables`), plus the lag-1 term of the odd target;
+      one direct product of fewer than B terms per group of four targets
+      (:class:`LagTables`), plus the lags of each target on the entries of
+      its group written before it;
     * far part: when the history length s reaches a multiple of B, with
       L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s] adds
       its contribution to the targets s..s+L-1 through the lags
@@ -321,9 +327,12 @@ class LaggedSum:
       that holds at most 2^16 weights (L <= 2B for one weight row, L = B for
       two), computed whole and read in its first rows, so that no bit
       depends on the capacity; beyond it through one real FFT of length 2L
-      against w_0..w_{2L-1} (w_0 = 0). That weight segment is the same for
-      every block of a level, so the tables hold one matrix or spectrum per
-      level (:meth:`LagTables.level`).
+      against w_0..w_{2L-1} (w_0 = 0), inverse-transformed for every weight
+      row at once while rows x columns x (L + 1) stays within 2^16 complex
+      entries and one row at a time beyond, which bounds the temporaries of
+      the long levels (the bits are the same either way). That weight
+      segment is the same for every block of a level, so the tables hold
+      one matrix or spectrum per level (:meth:`LagTables.level`).
 
     Every (target, source) pair is counted exactly once, by the near part or
     by the one block pair whose halves separate them; nothing is compressed or
@@ -349,12 +358,15 @@ class LaggedSum:
 
         One tuple per base block b0 = 0, B, 2B, ... below `capacity`; its
         targets are n = b0 .. b0 + len(far) - 1. The caller takes them in
-        order, two at a time. At an even r = n - b0 it forms the pair product
-        P = tables.near[r // 2] . history[b0:n], reads s_n = far[r] plus the
-        first half of P, and writes g_n into history[n]. At the odd target
-        n + 1 it reads s_{n+1} = far[r + 1] plus (the second half of P plus
-        tables.lag1 * g_n), and writes g_{n+1}. A block may end on an even
-        target; the second half of its last product is then not read. Every
+        order, four at a time. At r = n - b0 divisible by 4 it forms the
+        group product P = tables.near[r // 4] . history[b0:n], whose part i
+        (its rows i R..i R + R - 1 for R weight rows) is the near sum of
+        target n + i less its lags 1..i; it reads s_n = far[r] plus part 0
+        and writes g_n into history[n]. Target n + i, for i = 1, 2, 3, reads
+        s_{n+i} = far[r + i] plus (part i plus w_i g_n + ... + w_1 g_{n+i-1},
+        the lags from `tables.inner` on the entries of its group written
+        before it), and writes g_{n+i}. A block may end inside a group; the
+        parts of its last product past the end are then not read. Every
         block that reaches these targets has been added to `far` before the
         block starts, so the walk needs no call per target; resuming it
         after the block's last target adds the block that ends there
@@ -400,9 +412,12 @@ class LaggedSum:
         chunk = max(1, _FFT_ENTRIES // (size + 1))
         for c in range(0, block.shape[1], chunk):
             g = np.fft.rfft(block[:, c : c + chunk], 2 * size, axis=0)
-            for row, w in enumerate(table):  # one row at a time bounds the temporaries
-                tail = np.fft.irfft(w * g, 2 * size, axis=0)
-                far[:, row, c : c + chunk] += tail[size - 1 : size - 1 + count]
+            # every weight row in one inverse transform while their products hold at
+            # most _FFT_ENTRIES entries; beyond, one row at a time bounds the temporaries
+            rows = len(table) if len(table) * g.size <= _FFT_ENTRIES else 1
+            for r in range(0, len(table), rows):
+                tail = np.fft.irfft(table[r : r + rows] * g, 2 * size, axis=1)
+                far[:, r : r + rows, c : c + chunk] += tail[:, size - 1 : size - 1 + count].swapaxes(0, 1)
 
 
 def _smooth_length(n: int) -> int:

@@ -18,8 +18,9 @@ straight into its row of the retained slices.
 
 The L1 history sum of every node comes from one frac_ops.LaggedSum over the
 past slice differences, walked one base block of steps at a time
-(LaggedSum.blocks), with one matrix product per two steps (the odd step
-adds its lag-1 term b_1 times the difference just written): the full sum,
+(LaggedSum.blocks), with one matrix product per four steps (the other
+three add their lags b_i..b_1 on the differences of their group written
+before them, as one product of at most three rows): the full sum,
 reordered exactly into dyadic blocks, the two smallest block levels added by
 direct products and the longer ones by FFTs, so N steps on M nodes cost
 O(M N log^2 N) instead of O(M N^2). The far sums of future steps wait in the
@@ -28,7 +29,9 @@ chunks, so the march needs about the memory of the direct sum.
 
 Each explicit step is monotone under the enforced CFL restriction
 dt^alpha * max|u| / (Gamma(2-alpha) dx) <= 0.5, checked per step against
-the current slice; a violation is an error, not a warning.
+the current slice; a violation is an error, not a warning. The one
+reduction max|u| of a slice serves that ratio and the escape test, which
+reads the slice's max and min only once max|u| passes min(hi, -lo).
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ def _march(
     # step n reads the memory sum of target s = n - 1 and writes its difference there
     tables = LagTables.l1(alpha)
     near = tables.near
-    b1 = tables.lag1
+    inner_lags = [np.array(tables.inner[:i][::-1]) for i in range(4)]  # b_i..b_1 on a group's entries
     memory = LaggedSum(tables, n_steps, x.shape)
     # the retained slices: up to _RESERVED_BYTES of rows up front, doubled in
     # place when the march fills them (up to n_steps + 1 rows) and shrunk in
@@ -206,8 +209,10 @@ def _march(
     # of the rows (`prev`) is used after a resize
     slices = np.empty((min(n_steps, max(1, _RESERVED_BYTES // (8 * x.size))) + 1, x.size))
     slices[0] = u0
-    # max|u| of the current slice, from the max and min that the escape test reads
+    # max|u| of the current slice: the CFL ratio reads it, and the escape test
+    # needs the slice's max and min only once it passes min(hi, -lo)
     peak = max(float(u0.max()), -float(u0.min()))
+    safe = min(hi, -lo)
 
     def finish(last: int, status: str, escape_index: int | None):
         if last < 1:
@@ -215,16 +220,19 @@ def _march(
         slices.resize((last + 1, x.size), refcheck=False)
         return x, slices, status, escape_index
 
-    # the step's buffers, allocated once: the ghost-extended slice of a
-    # periodic march (a Dirichlet slice is its own extension), the squared
-    # upwind speeds on its faces and their differences, the pair product of
-    # an even and an odd target and the odd one's lag-1 term; the new slice
-    # is written straight into its row
+    # the step's buffers and their views, made once: the ghost-extended slice
+    # of a periodic march (a Dirichlet slice is its own extension) with its
+    # interior and its left and right cells, the squared upwind speeds on its
+    # faces and their differences, the group product of four targets and a
+    # target's lags on its group (then |new|); the new slice is written
+    # straight into its row
     ext = np.empty(x.size + 2)
+    interior, left, right = ext[1:-1], ext[:-1], ext[1:]
     faces = np.empty(x.size + 1 if periodic else x.size - 1)
+    upper, lower = faces[1:], faces[:-1]
     div = np.empty(faces.size - 1)
-    pair = np.empty((2, x.size))
-    even, odd = pair
+    group = np.empty((4, x.size))
+    parts = list(group)
     lag = np.empty(x.size)
 
     # a slice that overflows ends the march below, as an escape or as the
@@ -241,27 +249,28 @@ def _march(
                 prev, new = slices[s], slices[n]  # fetched after any resize
 
                 r = s - b0
+                i = r & 3  # the target's place in its group of four
                 hist = far[r]
-                if r & 1:  # the pair's odd target: its lag-1 term on the difference just written
-                    np.multiply(history[s - 1], b1, out=lag)
-                    odd += lag
-                    hist += odd
+                if i:  # its lags 1..i on the differences of its group written before it
+                    part = parts[i]
+                    np.dot(inner_lags[i], history[s - i : s], out=lag)
+                    part += lag
+                    hist += part
                 else:
-                    np.dot(near[r >> 1], history[b0:s], out=pair)  # targets s and s + 1
-                    hist += even
+                    np.dot(near[r >> 2], history[b0:s], out=group)  # targets s..s + 3
+                    hist += parts[0]
                 if periodic:
-                    ext[1:-1] = prev
+                    np.copyto(interior, prev)
                     ext[0] = prev[-1]
                     ext[-1] = prev[0]
-                    cells = ext
                 else:
-                    cells = prev
+                    left, right = prev[:-1], prev[1:]
                 # the Godunov flux of u^2/2 on the face (l, r) is max(l, -r, 0)^2 / 2
-                np.negative(cells[1:], out=faces)
-                np.maximum(faces, cells[:-1], out=faces)
+                np.negative(right, out=faces)
+                np.maximum(faces, left, out=faces)
                 np.maximum(faces, 0.0, out=faces)
                 np.multiply(faces, faces, out=faces)
-                np.subtract(faces[1:], faces[:-1], out=div)
+                np.subtract(upper, lower, out=div)
                 div *= flux_scale
                 np.subtract(prev, hist, out=new)
                 body = new[inner]
@@ -270,14 +279,13 @@ def _march(
                     new[0] = bc.callback(spatial.x_min, n * h)
                     new[-1] = bc.callback(spatial.x_max, n * h)
 
-                # NaN and inf carry through both reductions
-                new_hi, new_lo = float(np.maximum.reduce(new)), float(np.minimum.reduce(new))
-                if not (math.isfinite(new_hi) and math.isfinite(new_lo)):
+                # NaN and inf carry through the reduction
+                peak = float(np.maximum.reduce(np.abs(new, out=lag)))
+                if not math.isfinite(peak):
                     return finish(n - 1, "escaped", n)
                 np.subtract(new, prev, out=history[s])
-                if new_hi > hi or new_lo < lo:
+                if peak > safe and (np.maximum.reduce(new) > hi or np.minimum.reduce(new) < lo):
                     return finish(n, "escaped", n)
-                peak = max(new_hi, -new_lo)
     return finish(n_steps, "completed", None)
 
 

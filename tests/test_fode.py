@@ -3,6 +3,7 @@ explicit solution, barrier/monotonicity properties, the capped construction,
 the Volterra self-consistency check, and blow-up bracketing."""
 
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -108,6 +109,14 @@ class TestConfig:
         assert capped(5.0) == 16.0
         with pytest.raises(ValueError):
             Nonlinearity.capped_square(0.0)
+
+    @given(cap=st.floats(min_value=0.0, exclude_min=True), data=st.data())
+    def test_capped_square_has_the_bits_of_min(self, cap, data):
+        # on every float, NaN and the infinities included, as min(r^2, cap^2) gives it
+        special = [0.0, -0.0, 5e-324, -5e-324, cap, -cap, math.inf, -math.inf, math.nan]
+        r = data.draw(st.sampled_from(special) | st.floats())
+        got = Nonlinearity.capped_square(cap).fn(r)
+        assert struct.pack("<d", got) == struct.pack("<d", min(r * r, cap * cap))
 
 
 class TestSolve:
@@ -260,23 +269,25 @@ class TestSolve:
     def test_escape_at_block_edges(self, escape):
         self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 1)
 
-    # one product serves the targets 2q and 2q + 1 of a base block, and the
-    # odd one adds its lag-1 term on the entry written between them: escapes
-    # on either target of a pair, in the b0 = 0 block (whose target 0 is v0)
-    # and in later ones
-    @pytest.mark.parametrize("escape", [1, 2, 3, 4, B + 37, B + 38, 2 * B + 5, 2 * B + 6])
+    # one product serves the targets 4q..4q + 3 of a base block, and target
+    # 4q + i adds its lags 1..i on the entries of its group written before
+    # it: escapes on each target of a group, in the b0 = 0 block (whose
+    # target 0 is v0) and in later ones
+    @pytest.mark.parametrize(
+        "escape", [1, 2, 3, 4, B + 36, B + 37, B + 38, B + 39, 2 * B + 4, 2 * B + 5, 2 * B + 6, 2 * B + 7]
+    )
     def test_escape_on_either_target_of_a_pair(self, escape):
         self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 8)
 
-    # completed marches whose last base block has odd length, so that its
-    # last pair has no odd target, down to the b0 = 0 block of 3 targets
-    @pytest.mark.parametrize("n_steps", [2, 4, B + 2, 2 * B + 4])
+    # completed marches whose last base block ends inside a group of four,
+    # its length 1, 2 or 3 (mod 4), down to the b0 = 0 block of 2 targets
+    @pytest.mark.parametrize("n_steps", [1, 2, 4, 5, B + 2, B + 5, 2 * B + 4])
     def test_last_block_of_odd_length(self, n_steps):
         alpha, h = 0.7, 0.4 / (2 * B + 8)
         order = FractionalOrder(alpha)
         traj = solve(SQUARE, 1.0, order, SolverConfig(h, n_steps * h))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
-        assert (n_steps + 1) % B % 2 == 1  # the march reads targets 0..n_steps
+        assert (n_steps + 1) % B % 4 != 0  # the march reads targets 0..n_steps
         ref = _pece_direct(alpha, h, n_steps, 1)
         assert np.max(np.abs(traj.values - ref) / ref) <= 1e-13
         full = solve(SQUARE, 1.0, order, SolverConfig(h, (2 * B + 8) * h))

@@ -408,30 +408,40 @@ def _walk(memory, g):
     """[(s_n, far sum, near sum)] for n = 0..len(g) from the block walk, g_n written after s_n.
 
     The walk stops at target len(g) or at the capacity, whichever comes
-    first. It reads the pair layout the way the marches do: an even target
-    n = b0 + r takes its near sum from the pair product
-    near[r // 2] . history[b0:n], whose second half holds the near sum of
-    target n + 1 less its lag-1 term, added once g_n is written. A scalar
-    history sums Python floats, one per weight row, as fode does; a row
-    history sums ndarrays, as pde does, of shape (*rows, *shape) for the
-    weight rows of the tables. The far sum recorded is the
-    buffer's, read before g_n overwrites it.
+    first. It reads the group layout the way the marches do: a target
+    n = b0 + r with r divisible by 4 takes its near sum from the group
+    product near[r // 4] . history[b0:n], whose part i holds the near sum of
+    target n + i less its lags 1..i; target n + i adds those lags,
+    w_i g_n + ... + w_1 g_{n+i-1}, once its group's entries are written. A
+    scalar history sums Python floats, one per weight row, as fode does; a
+    row history sums ndarrays, as pde does, of shape (*rows, *shape) for the
+    weight rows of the tables, with the lags as one product. The far sum
+    recorded is the buffer's, read before g_n overwrites it.
     """
     tables = memory._tables
-    lag1 = np.atleast_1d(tables.lag1).tolist()  # w_1 per weight row
+    inner = np.reshape(tables.inner, (-1, 3))  # w_1, w_2, w_3 per weight row
     walked = []
     for b0, far, history in memory.blocks():
         scalar = isinstance(far, list)
         for n in range(b0, b0 + len(far)):
             r = n - b0
-            if r % 2 == 0:
-                pair = tables.near[r // 2].dot(history[b0:n])
-                near_sum, odd = pair.reshape(2, -1).tolist() if scalar else pair.reshape(2, *far.shape[1:])
+            i = r % 4
+            if i == 0:
+                group = tables.near[r // 4].dot(history[b0:n])
+                parts = group.reshape(4, -1).tolist() if scalar else group.reshape(4, *far.shape[1:])
+                near_sum = parts[0]
             elif scalar:
-                g_prev = history[n - 1].item()
-                near_sum = [x + w * g_prev for x, w in zip(odd, lag1)]
+                entries = history[n - i : n].tolist()  # g_{n-i}..g_{n-1}
+                near_sum = []
+                for x, w in zip(parts[i], inner.tolist()):
+                    lags = w[i - 1 :: -1]  # w_i..w_1
+                    term = lags[0] * entries[0]
+                    for wk, e in zip(lags[1:], entries[1:]):
+                        term += wk * e
+                    near_sum.append(x + term)
             else:
-                near_sum = odd + np.multiply.outer(tables.lag1, history[n - 1])
+                lags = np.reshape(inner[:, i - 1 :: -1], (*tables.rows, i))
+                near_sum = parts[i] + np.dot(lags, history[n - i : n])
             if scalar:
                 s = [x + y for x, y in zip(far[r] if tables.rows else [far[r]], near_sum)]
                 s = s if tables.rows else s[0]
@@ -543,6 +553,34 @@ class TestLaggedSum:
             sums.append(np.array([s for s, _, _ in walked[:short]]).tobytes())
         assert sums[0] == sums[1]
 
+    # a flush inverse-transforms every weight row at once while rows x
+    # columns x (L + 1) stays within _FFT_ENTRIES, one row at a time beyond;
+    # with the direct bound at 2B^2 weights the B level alone is a product for
+    # both weight kinds, and the 2B and 4B levels (L = 256, 512) take the FFT
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("kind", ["predictor_corrector", "l1"])
+    def test_far_sums_do_not_depend_on_the_rows_per_transform(self, monkeypatch, kind, shape):
+        monkeypatch.setattr(frac_ops, "_DIRECT_ENTRIES", 2 * B * B)
+        g = np.random.default_rng(5).standard_normal((5 * B, *shape))
+        irfft = np.fft.irfft
+        rows = 2 if kind == "predictor_corrector" else 1
+        fars = []
+        for entries, per_transform in ((1 << 30, rows), (1, 1)):  # every weight row at once, one at a time
+            seen = set()
+
+            def spy(a, *args, **kwargs):
+                seen.add(len(a))  # the weight rows an inverse transform carries
+                return irfft(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, "irfft", spy)
+            monkeypatch.setattr(frac_ops, "_FFT_ENTRIES", entries)
+            tables = getattr(frac_ops.LagTables, kind)(0.37)
+            walked = _walk(frac_ops.LaggedSum(tables, 5 * B + 1, shape), g)
+            assert seen == {per_transform}
+            assert [level.ndim for level in tables._levels] == [2, 3, 3]  # a matrix, then two spectra
+            fars.append(np.array([far for _, far, _ in walked]).tobytes())
+        assert fars[0] == fars[1]
+
     @pytest.mark.parametrize("capacities", [(300, 3000), (3000, 300)])
     def test_shared_tables_give_the_bits_of_fresh_ones(self, capacities):
         # the pde weight kind on row histories: the march that runs second
@@ -583,19 +621,19 @@ class TestLaggedSum:
 
     @pytest.mark.parametrize("kind, rows", [("predictor_corrector", (2,)), ("l1", ())])
     def test_near_pairs_hold_the_weights_of_their_targets(self, kind, rows):
-        # near[q] stacks the weight rows of target 2q over those of target
-        # 2q + 1 less its lag 1, against the 2q entries of the block before
-        # target 2q; lag1 holds the missing w_1
+        # near[q] stacks the weight rows of targets 4q, 4q + 1, 4q + 2 and
+        # 4q + 3, target 4q + i less its lags 1..i, against the 4q entries of
+        # the block before target 4q; inner holds the missing w_1, w_2, w_3
         tables = getattr(frac_ops.LagTables, kind)(0.37)
         assert tables.rows == rows
         w = np.reshape(tables._weights(B - 1), (-1, B - 1))  # column k - 1 holds w_k
-        assert len(tables.near) == B // 2
-        for q, pair in enumerate(tables.near):
-            assert pair.shape == (2 * len(w), 2 * q) and pair.flags.c_contiguous
-            lags = 2 * q - np.arange(2 * q)  # lag of entry j of the block from target 2q
-            assert np.array_equal(pair[: len(w)], w[:, lags - 1])
-            assert np.array_equal(pair[len(w) :], w[:, lags])  # one lag more from target 2q + 1
-        assert np.atleast_1d(tables.lag1).tolist() == w[:, 0].tolist()
+        assert len(tables.near) == B // 4
+        for q, group in enumerate(tables.near):
+            assert group.shape == (4 * len(w), 4 * q) and group.flags.c_contiguous
+            lags = 4 * q - np.arange(4 * q)  # lag of entry j of the block from target 4q
+            for i, part in enumerate(np.split(group, 4)):
+                assert np.array_equal(part, w[:, lags + i - 1])  # i lags more from target 4q + i
+        assert np.reshape(tables.inner, (-1, 3)).tolist() == w[:, :3].tolist()
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_buffers_grow_with_the_history_not_the_capacity(self, rows):

@@ -322,21 +322,23 @@ class TestDirectScheme:
     def test_escape_at_block_edges(self, escape):
         self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 2)
 
-    # one product serves the targets 2q and 2q + 1 of a base block, and the
-    # odd one adds b_1 times the difference written between them: escapes on
-    # either target of a pair (slice n reads target n - 1), in the b0 = 0
-    # block and in later ones
-    @pytest.mark.parametrize("escape", [1, 2, 3, 4, B + 38, B + 39, 2 * B + 6, 2 * B + 7])
+    # one product serves the targets 4q..4q + 3 of a base block, and target
+    # 4q + i adds b_i..b_1 times the differences of its group written before
+    # it: escapes on each target of a group (slice n reads target n - 1), in
+    # the b0 = 0 block and in later ones
+    @pytest.mark.parametrize(
+        "escape", [1, 2, 3, 4, B + 37, B + 38, B + 39, B + 40, 2 * B + 5, 2 * B + 6, 2 * B + 7, 2 * B + 8]
+    )
     def test_escape_on_either_target_of_a_pair(self, escape):
         self._escape_is_a_prefix_of_the_direct_scheme(escape, 2 * B + 8)
 
-    # completed marches whose last base block has odd length, so that its
-    # last pair has no odd target, down to the b0 = 0 block of 3 targets
-    @pytest.mark.parametrize("n_steps", [3, 5, B + 3, 2 * B + 5])
+    # completed marches whose last base block ends inside a group of four,
+    # its length 1, 2 or 3 (mod 4), down to the b0 = 0 block of 2 targets
+    @pytest.mark.parametrize("n_steps", [2, 3, 5, 6, B + 2, B + 3, 2 * B + 5])
     @pytest.mark.parametrize("march", ["_periodic", "_dirichlet"])
     def test_last_block_of_odd_length(self, n_steps, march):
         fh, ref = getattr(self, march)(0.6, n_steps)
-        assert n_steps % B % 2 == 1  # slice n reads target n - 1 of 0..n_steps - 1
+        assert n_steps % B % 4 != 0  # slice n reads target n - 1 of 0..n_steps - 1
         assert fh.status == "completed" and fh.slices.shape == ref.shape
         assert np.max(np.abs(fh.slices - ref)) <= 1e-13 * np.max(np.abs(ref))
         full, _ = getattr(self, march)(0.6, 2 * B + 8)
