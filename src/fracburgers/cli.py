@@ -135,7 +135,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     t0 = _time.perf_counter()
     order = FractionalOrder(args.alpha)
-    config = _fode.SolverConfig(args.h, args.t_max, args.threshold, args.sweeps)
+    config = _fode.SolverConfig(args.h, args.t_max, args.threshold)
     if args.cap is not None:
         traj = _fode.solve_capped(args.cap, args.v0, order, config)
     else:
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=float, default=None, help="cap level for the truncated quadratic nonlinearity (>= 4)")
     p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--threshold", type=float, default=1e6, help="escape threshold")
-    p.add_argument("--sweeps", type=int, default=1, help="corrector sweeps")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_solve)
 

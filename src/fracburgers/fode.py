@@ -12,12 +12,10 @@ The march sums the history g_j = f(v_j) - f(v_0) in one frac_ops.LaggedSum
 with two weight rows, predictor and corrector (full sums, exact blocked
 reordering, no windowing: the memory term is the object under study), and
 adds f(v_0) through the closed-form weight sums of the rules on constants.
-It walks the sum one base block at a time (LaggedSum.blocks), in one tight
-loop per block with no method call per step, and one matrix-vector product
-per four steps: the group product of the first target of a group of four
-also gives the next three their near sums less the lags inside the group,
-which the march adds in floats. Each block's powers (n+1)^alpha come from
-one numpy call.
+It walks the sum one base block at a time, in one tight loop per block with
+no method call per step, and takes its near sums by the protocol of
+LaggedSum.blocks, adding the in-group lags in floats. Each block's powers
+(n+1)^alpha come from one numpy call.
 """
 
 from __future__ import annotations
@@ -114,34 +112,36 @@ class SolverConfig:
         object.__setattr__(self, "corrector_sweeps", int(self.corrector_sweeps))
 
 
-def check_termination(status: str, escape_index: int | None, count: int) -> None:
-    """Refuse a termination that no march of `count` kept steps gives.
+def check_termination(escape_index: int | None, count: int) -> None:
+    """Refuse an escape index that no march of `count` kept steps gives.
 
     An escaped march sets `escape_index` to `count` if it kept the offending
     value, or to `count` + 1 if that value overflowed; a completed one sets none.
     """
-    if status not in ("completed", "escaped"):
-        raise ValueError(f"status must be 'completed' or 'escaped', got {status!r}")
-    if escape_index not in ((count, count + 1) if status == "escaped" else (None,)):
-        raise ValueError(f"escape_index {escape_index!r} does not fit status {status!r} after {count} steps")
+    if escape_index not in (None, count, count + 1):
+        raise ValueError(f"escape_index {escape_index!r} does not fit a march of {count} kept steps")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A solved sampled function plus its termination status.
+    """A solved sampled function plus the index at which its march escaped, if it did.
 
-    If status is "escaped", samples run up to and including the first node
-    whose value exceeds the escape threshold (or up to the last finite node
-    if the offending value overflowed to non-finite, in which case
-    escape_index points one past the retained samples).
+    An escaped march's samples run up to and including the first node whose
+    value exceeds the escape threshold (or up to the last finite node if the
+    offending value overflowed to non-finite, in which case escape_index
+    points one past the retained samples).
     """
 
     samples: SampledFunction
-    status: str
     escape_index: int | None = None
 
     def __post_init__(self) -> None:
-        check_termination(self.status, self.escape_index, self.samples.grid.count)
+        check_termination(self.escape_index, self.samples.grid.count)
+
+    @property
+    def status(self) -> str:
+        """How the march ended: "escaped" if it stopped at an escape index, else "completed"."""
+        return "completed" if self.escape_index is None else "escaped"
 
     @property
     def times(self) -> np.ndarray:
@@ -166,14 +166,11 @@ class RungRecord:
     """One rung of a blow-up ladder: a march at `step` that escaped.
 
     `steps` is the escape index of the march. `wall_s` is its wall time.
-    `window` holds the (t, v) nodes with 10 <= v <= 100 of the finest rung,
-    and is empty on the others.
     """
 
     step: float
     steps: int
     wall_s: float
-    window: tuple[tuple[float, float], ...] = field(default=(), repr=False)
 
 
 def _trace(threshold: float, rungs: Iterable[RungRecord]) -> list[tuple[float, float, float]]:
@@ -223,10 +220,7 @@ def _finish(values: list[float], step: float, escape_index: int | None) -> Traje
     if len(values) < 2:
         raise ValueError("first marching step produced a non-finite value")
     grid = TimeGrid(step, len(values) - 1)
-    samples = SampledFunction(grid, np.asarray(values))
-    if escape_index is None:
-        return Trajectory(samples, "completed")
-    return Trajectory(samples, "escaped", escape_index)
+    return Trajectory(SampledFunction(grid, np.asarray(values)), escape_index)
 
 
 def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajectory:
@@ -262,12 +256,9 @@ def _solve_fractional(
 
     # The history holds f(v_j) - f(v_0); f(v_0) enters target n + 1 through
     # the weight sums on constants, (n+1)^alpha and (alpha+1) (n+1)^alpha less
-    # the corrector's weight 1 on f(v_{n+1}). The memory sums are walked one
-    # base block of targets at a time: step n reads target n + 1 as the
-    # block's far sums, Python floats, plus its near sum, and writes g_{n+1}
-    # after it. The first target of a group of four takes its near sums from
-    # the group product, which also gives the three after it all but their
-    # lags on the group's entries; those are added in floats once written.
+    # the corrector's weight 1 on f(v_{n+1}). Step n reads target n + 1 as the
+    # block's far sums, Python floats, plus its near sum (LaggedSum.blocks),
+    # and writes g_{n+1} after it.
     rhs = f.fn
     near = tables.near
     (w1_pred, w2_pred, w3_pred), (w1_corr, w2_corr, w3_corr) = tables.inner
@@ -373,11 +364,13 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
     Richardson-style correction taken from the last step-halving difference.
     No growth-rate model is assumed.
 
-    Every rung marches at the same alpha, so all of them read one set of
-    weight tables (:meth:`frac_ops.LagTables.predictor_corrector`), built for
-    this call: each block level's table is computed once, by the first
-    rung that reaches the level, and the sums are bit-identical to those of
-    marches on tables of their own. The estimate keeps one
+    Every rung marches at the same alpha, so at a fractional alpha all of
+    them read one set of weight tables
+    (:meth:`frac_ops.LagTables.predictor_corrector`), built for this call:
+    each block level's table is computed once, by the first rung that
+    reaches the level, and the sums are bit-identical to those of marches on
+    tables of their own. At alpha = 1 the rungs march the one-step method,
+    and no tables are built. The estimate keeps one
     :class:`RungRecord` per rung, from which its trace is derived.
 
     Every rung's grid is checked before the first march; a refused rung
@@ -404,24 +397,19 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
                 f"halved {i} times; refinements {refinements}) is refused: {exc}"
             ) from exc
 
-    tables = LagTables.predictor_corrector(order.alpha)
+    tables = None if order.is_classical else LagTables.predictor_corrector(order.alpha)
     records: list[RungRecord] = []
     for rung in rungs:
         start = perf_counter()
         traj = solve(f, 1.0, order, rung, _tables=tables)
         wall = perf_counter() - start
-        if traj.status != "escaped":
+        if traj.escape_index is None:
             raise NoBlowupDetected(
                 f"no blow-up detected below horizon {rung.horizon} "
                 f"(step {rung.step:g}, threshold {threshold:g})",
                 _trace(threshold, records),
             )
-        window = ()
-        if rung is rungs[-1]:
-            v = traj.values
-            inside = (v >= 10.0) & (v <= 100.0)
-            window = tuple(zip(traj.times[inside].tolist(), v[inside].tolist()))
-        records.append(RungRecord(rung.step, traj.escape_index, wall, window))
+        records.append(RungRecord(rung.step, traj.escape_index, wall))
 
     fine, prev = records[-1], records[-2]
     h_fine = fine.step

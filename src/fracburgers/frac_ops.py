@@ -23,18 +23,13 @@ O(N log^2 N) by an exact blocked reordering (Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry and target
 is still summed once, with no history compression and no windowing, on
 buffers that grow with the march. A march walks it one base block of
-targets at a time (:meth:`LaggedSum.blocks`), so that its inner loop makes
-no call into it per step, and takes the direct part of four targets from
-one matrix product. A block reaches the targets after it through one direct
-product with its level's Toeplitz matrix while that matrix holds at most
-2^16 weights (blocks of up to 2B entries for one weight row, B for two),
-and through one FFT beyond: on the short blocks the transforms cost more
-than the products. The inverse FFT takes every weight row at once while
-they hold at most 2^16 complex entries, one row at a time beyond. Its
-weight tables live in a :class:`LagTables`, which marches of one weight
-kind share: it holds the near weights of each group of four targets and
-builds each block level's table from exactly that level's lags, the first
-time a march reaches the level.
+targets at a time (:meth:`LaggedSum.blocks`, which states the protocol of
+its near sums), so that its inner loop makes no call into it per step; the
+class says how each block reaches the targets after it, by a direct product
+on the short blocks and by FFT beyond. Its weight tables live in a
+:class:`LagTables`, which marches of one weight kind share: it holds the
+near weights and builds each block level's table from exactly that level's
+lags, the first time a march reaches the level.
 :func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
 in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
@@ -59,8 +54,6 @@ __all__ = [
     "TimeGrid",
     "SampledFunction",
     "PowerTestFunction",
-    "LagTables",
-    "LaggedSum",
     "caputo_left",
     "classical_derivative",
     "rl_fractional_integral",
@@ -237,9 +230,9 @@ class LagTables:
     object memoizes what marches read and never write: the near part of the
     direct sum and one table per block level L (from ``weights(2L - 1)``, at
     the first request, :meth:`level`). The near part comes from one
-    ``weights(B - 1)`` call and groups the targets of a base block in fours,
-    so that one product serves four of them: `near[q]`, for q = 0..B/4 - 1,
-    stacks the weight rows of targets 4q, 4q + 1, 4q + 2 and 4q + 3, target
+    ``weights(B - 1)`` call, laid out for the group products of
+    :meth:`LaggedSum.blocks`: `near[q]`, for q = 0..B/4 - 1, stacks the
+    weight rows of targets 4q, 4q + 1, 4q + 2 and 4q + 3, target
     4q + i less its lags 1..i (w_4q+i..w_i+1), all against the 4q entries
     before target 4q, as one C-contiguous matrix of shape (4R, 4q) for R
     weight rows. `inner` holds w_1, w_2, w_3 (a list of three floats, or
@@ -317,9 +310,7 @@ class LaggedSum:
     O(n^2):
 
     * near part: the lags inside the current base block of B = 128 entries,
-      one direct product of fewer than B terms per group of four targets
-      (:class:`LagTables`), plus the lags of each target on the entries of
-      its group written before it;
+      summed directly by the march (:meth:`blocks`);
     * far part: when the history length s reaches a multiple of B, with
       L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s] adds
       its contribution to the targets s..s+L-1 through the lags
@@ -358,8 +349,10 @@ class LaggedSum:
 
         One tuple per base block b0 = 0, B, 2B, ... below `capacity`; its
         targets are n = b0 .. b0 + len(far) - 1. The caller takes them in
-        order, four at a time. At r = n - b0 divisible by 4 it forms the
-        group product P = tables.near[r // 4] . history[b0:n], whose part i
+        order, in groups of four with one matrix product per group: this is
+        the near-sum protocol of every march in the package (fode, pde). At
+        r = n - b0 divisible by 4 the caller forms the group product
+        P = tables.near[r // 4] . history[b0:n], whose part i
         (its rows i R..i R + R - 1 for R weight rows) is the near sum of
         target n + i less its lags 1..i; it reads s_n = far[r] plus part 0
         and writes g_n into history[n]. Target n + i, for i = 1, 2, 3, reads

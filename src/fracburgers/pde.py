@@ -17,15 +17,14 @@ allocated once per march, with ``out=`` ufuncs, and writes the new slice
 straight into its row of the retained slices.
 
 The L1 history sum of every node comes from one frac_ops.LaggedSum over the
-past slice differences, walked one base block of steps at a time
-(LaggedSum.blocks), with one matrix product per four steps (the other
-three add their lags b_i..b_1 on the differences of their group written
-before them, as one product of at most three rows): the full sum,
-reordered exactly into dyadic blocks, the two smallest block levels added by
-direct products and the longer ones by FFTs, so N steps on M nodes cost
-O(M N log^2 N) instead of O(M N^2). The far sums of future steps wait in the
-history buffer's not-yet-written rows and the block transforms run on column
-chunks, so the march needs about the memory of the direct sum.
+past slice differences, walked one base block of steps at a time by the
+protocol of LaggedSum.blocks (a target's in-group lags as one product of at
+most three rows): the full sum, reordered exactly into dyadic blocks, the
+two smallest block levels added by direct products and the longer ones by
+FFTs, so N steps on M nodes cost O(M N log^2 N) instead of O(M N^2). The
+far sums of future steps wait in the history buffer's not-yet-written rows
+and the block transforms run on column chunks, so the march needs about the
+memory of the direct sum.
 
 Each explicit step is monotone under the enforced CFL restriction
 dt^alpha * max|u| / (Gamma(2-alpha) dx) <= 0.5, checked per step against
@@ -151,7 +150,6 @@ class FieldHistory:
     x: np.ndarray = field(repr=False)
     slices: np.ndarray = field(repr=False)  # shape (time.count + 1, len(x))
     order: FractionalOrder
-    status: str
     escape_index: int | None
 
     def __post_init__(self) -> None:
@@ -161,9 +159,14 @@ class FieldHistory:
             raise ValueError(f"slices shape {s.shape} does not match grids")
         if not np.all(np.isfinite(s)):
             raise ValueError("every retained slice must be finite")
-        check_termination(self.status, self.escape_index, self.time.count)
+        check_termination(self.escape_index, self.time.count)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "slices", s)
+
+    @property
+    def status(self) -> str:
+        """How the march ended: "escaped" if it stopped at an escape index, else "completed"."""
+        return "completed" if self.escape_index is None else "escaped"
 
     @property
     def times(self) -> np.ndarray:
@@ -178,8 +181,8 @@ def _march(
     bc: BoundaryRule,
     lo: float,
     hi: float,
-) -> tuple[np.ndarray, np.ndarray, str, int | None]:
-    """March the transport form until a slice leaves [lo, hi]: (x, slices, status, escape_index)."""
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """March the transport form until a slice leaves [lo, hi]: (x, slices, escape_index)."""
     periodic = bc.kind == "periodic"
     x = spatial.nodes(periodic)
     u0 = np.asarray(u0, dtype=float)
@@ -214,11 +217,11 @@ def _march(
     peak = max(float(u0.max()), -float(u0.min()))
     safe = min(hi, -lo)
 
-    def finish(last: int, status: str, escape_index: int | None):
+    def finish(last: int, escape_index: int | None):
         if last < 1:
             raise ValueError("first marching step produced a non-finite slice")
         slices.resize((last + 1, x.size), refcheck=False)
-        return x, slices, status, escape_index
+        return x, slices, escape_index
 
     # the step's buffers and their views, made once: the ghost-extended slice
     # of a periodic march (a Dirichlet slice is its own extension) with its
@@ -282,11 +285,11 @@ def _march(
                 # NaN and inf carry through the reduction
                 peak = float(np.maximum.reduce(np.abs(new, out=lag)))
                 if not math.isfinite(peak):
-                    return finish(n - 1, "escaped", n)
+                    return finish(n - 1, n)
                 np.subtract(new, prev, out=history[s])
                 if peak > safe and (np.maximum.reduce(new) > hi or np.minimum.reduce(new) < lo):
-                    return finish(n, "escaped", n)
-    return finish(n_steps, "completed", None)
+                    return finish(n, n)
+    return finish(n_steps, None)
 
 
 def solve_u(
@@ -300,8 +303,8 @@ def solve_u(
     """Quadratic transport form: ^C D^alpha u + d/dx (u^2/2) = 0; escape at |u| > escape_threshold."""
     if not escape_threshold > 0.0:
         raise ValueError(f"escape_threshold must be > 0, got {escape_threshold!r}")
-    x, slices, status, escape_index = _march(u0, order, spatial, time, bc, -escape_threshold, escape_threshold)
-    return FieldHistory(spatial, TimeGrid(time.step, len(slices) - 1), x, slices, order, status, escape_index)
+    x, slices, escape_index = _march(u0, order, spatial, time, bc, -escape_threshold, escape_threshold)
+    return FieldHistory(spatial, TimeGrid(time.step, len(slices) - 1), x, slices, order, escape_index)
 
 
 def _to_u(rho, params: MarketParams):
@@ -339,9 +342,9 @@ def solve_rho(
         bc = BoundaryRule.dirichlet(lambda xx, tt: _to_u(rho_bc(xx, tt), params))
     u0 = _to_u(np.asarray(rho0, dtype=float), params)
     lo, hi = _to_u(-escape_threshold, params), _to_u(escape_threshold, params)
-    x, slices, status, escape_index = _march(u0, order, spatial, time, bc, lo, hi)
+    x, slices, escape_index = _march(u0, order, spatial, time, bc, lo, hi)
     _to_rho(slices, params, out=slices)
-    return FieldHistory(spatial, TimeGrid(time.step, len(slices) - 1), x, slices, order, status, escape_index)
+    return FieldHistory(spatial, TimeGrid(time.step, len(slices) - 1), x, slices, order, escape_index)
 
 
 def separable_solution(v: Trajectory, x: float, t: float) -> float:

@@ -196,7 +196,7 @@ class TestSolve:
         replay = [
             "solve", "--alpha", repr(p["alpha"]), "--h", repr(p["h"]),
             "--t-max", repr(p["t_max"]), "--v0", repr(p["v0"]),
-            "--threshold", repr(p["threshold"]), "--sweeps", str(p["sweeps"]),
+            "--threshold", repr(p["threshold"]),
         ]
         if p["cap"] is not None:
             replay += ["--cap", repr(p["cap"])]
@@ -563,7 +563,7 @@ def test_every_float_flag_ends_in_a_documented_exit_code(tmp_path_factory, case,
     (["bounds", "--alpha", "0.5"], ["alpha", "delta"]),
     (["blowup", "--alpha", "1"], ["alpha", "refinements", "step", "horizon", "delta"]),
     (["solve", "--alpha", "0.5", "--h", "0.01", "--t-max", "0.1"],
-     ["alpha", "h", "t_max", "cap", "v0", "threshold", "sweeps"]),
+     ["alpha", "h", "t_max", "cap", "v0", "threshold"]),
     (["impulse", "--t-max", "1"], ["alphas", "times", "h", "t_max"]),
     (["caputo", "--alpha", "0.5", "--input", "in.csv"], ["alpha", "input"]),
     (["pde", "--form", "rho", "--alpha", "0.5", "--cells", "16", "--h", "0.0001", "--t-max", "0.001",

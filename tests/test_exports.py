@@ -17,3 +17,10 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def test_package_exports_each_name_once():
+    # the package star-imports every module: a name two modules exported would shadow one of them
+    import fracburgers
+
+    assert len(set(fracburgers.__all__)) == len(fracburgers.__all__)

@@ -65,6 +65,15 @@ def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
     return np.array(v)
 
 
+def _mittag_leffler_at_minus_one(alpha):
+    """E_alpha(-1) = sum_k (-1)^k / Gamma(alpha k + 1), 600 terms summed exactly by fsum.
+
+    Terms with alpha k + 1 >= 171 are left out: Gamma overflows there, and
+    the terms are below 1e-306.
+    """
+    return math.fsum((-1) ** k / math.gamma(alpha * k + 1.0) for k in range(600) if alpha * k + 1.0 < 171.0)
+
+
 def _ladder_direct(order, seed, refinements=3):
     """The blow-up ladder as one solve per rung: (t_lo, t_hi, trace)."""
     x = seed.escape_threshold
@@ -343,6 +352,31 @@ class TestSolve:
             assert np.array_equal(at_x.values, at_big.values[: idx + 1])
 
 
+class TestMittagLeffler:
+    """^C D^alpha v = -v, v(0) = 1, solved by v(t) = E_alpha(-t^alpha): a continuous oracle."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99])
+    def test_series_matches_mpmath(self, alpha):
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            exact = mp.fsum((-1) ** k / mp.gamma(a * k + 1) for k in range(2000))
+        assert _mittag_leffler_at_minus_one(alpha) == pytest.approx(float(exact), abs=2e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.1, 0.99))
+    def test_order_at_t_one(self, alpha):
+        # near enough the corrector's fixed point, the march has the order 1 + alpha of
+        # product integration at a fixed t > 0 (Diethelm, Ford & Freed 2004); at its
+        # first nodes the error falls only like h^(2 alpha)
+        decay, order = Nonlinearity(lambda r: -r), FractionalOrder(alpha)
+        exact = _mittag_leffler_at_minus_one(alpha)
+        errors = [
+            abs(solve(decay, 1.0, order, SolverConfig(1.0 / n, 1.0, corrector_sweeps=40)).values[-1] - exact)
+            for n in (512, 2048)
+        ]
+        assert math.log(errors[0] / errors[1], 4) == pytest.approx(1.0 + alpha, abs=0.05)
+
+
 class TestCapped:
     def test_cap_floor(self):
         with pytest.raises(ValueError):
@@ -481,6 +515,15 @@ class TestBlowupEstimate:
             assert shared.escape_index == rung.steps
             assert shared.values.tobytes() == fresh.values.tobytes()
 
+    def test_classical_ladder_builds_no_tables(self, monkeypatch):
+        # alpha = 1 marches the one-step method, which reads no weight tables
+        def refuse(alpha):
+            raise AssertionError("weight tables built at alpha = 1")
+
+        monkeypatch.setattr(frac_ops.LagTables, "predictor_corrector", refuse)
+        est = estimate_blowup(FractionalOrder(1.0), SolverConfig(8e-4, 1.7))
+        assert est.t_lo <= 1.0 <= est.t_hi
+
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
     def test_rung_records(self, alpha):
         order = FractionalOrder(alpha)
@@ -491,12 +534,6 @@ class TestBlowupEstimate:
             traj = solve(SQUARE, 1.0, order, SolverConfig(rung.step, 1.7, est.threshold))
             assert rung.steps == traj.escape_index
             assert rung.wall_s > 0.0
-        *coarse, finest = est.rungs
-        assert all(r.window == () for r in coarse)
-        v = traj.values  # the finest rung
-        inside = (v >= 10.0) & (v <= 100.0)
-        assert finest.window == tuple(zip(traj.times[inside].tolist(), v[inside].tolist()))
-        assert len(finest.window) >= 30
         # the trace is read from the records
         assert est.refinement_trace == [(r.step, est.threshold, r.steps * r.step) for r in est.rungs]
 

@@ -3,6 +3,7 @@ equivalence between the two flux forms (the density form checked against
 its own direct scheme), CFL enforcement, monotone extrema, product-form
 fields."""
 
+import dataclasses
 import math
 import sys
 
@@ -95,29 +96,37 @@ class TestTypes:
             assert getattr(MarketParams(**{name: sys.float_info.min}), name) == sys.float_info.min
 
     @staticmethod
-    def _result(kind, status, escape_index):
+    def _result(kind, escape_index):
         """A march result of two steps: a scalar trajectory or an 8-cell field."""
         grid = TimeGrid(0.1, 2)
         if kind == "trajectory":
-            return fode.Trajectory(frac_ops.SampledFunction(grid, np.zeros(3)), status, escape_index)
+            return fode.Trajectory(frac_ops.SampledFunction(grid, np.zeros(3)), escape_index)
         space = SpatialGrid(0.0, 1.0, 8)
         x = space.nodes(periodic=True)
-        return pde.FieldHistory(space, grid, x, np.zeros((3, x.size)), FO(0.5), status, escape_index)
+        return pde.FieldHistory(space, grid, x, np.zeros((3, x.size)), FO(0.5), escape_index)
 
     @pytest.mark.parametrize("kind", ["trajectory", "field"])
     @pytest.mark.parametrize("status, escape_index", [("completed", None), ("escaped", 2), ("escaped", 3)])
     def test_escape_rule_accepts(self, kind, status, escape_index):
-        # the offending value kept (index = count) or overflowed and dropped (count + 1)
-        assert self._result(kind, status, escape_index).escape_index == escape_index
+        # the offending value kept (index = count) or overflowed and dropped (count + 1);
+        # the status is read from the index
+        result = self._result(kind, escape_index)
+        assert (result.escape_index, result.status) == (escape_index, status)
 
     @pytest.mark.parametrize("kind", ["trajectory", "field"])
-    @pytest.mark.parametrize(
-        "status, escape_index",
-        [("escaped", None), ("completed", 2), ("completed", 7), ("escaped", 1), ("escaped", 4), ("escaped", 99), ("done", None)],
-    )
-    def test_escape_rule_refuses(self, kind, status, escape_index):
-        with pytest.raises(ValueError):
-            self._result(kind, status, escape_index)
+    # every refused index claims an escape the march of two steps cannot have had
+    @pytest.mark.parametrize("escape_index", [1, 4, 99], ids=lambda i: f"escaped-{i}")
+    def test_escape_rule_refuses(self, kind, escape_index):
+        with pytest.raises(ValueError, match="does not fit"):
+            self._result(kind, escape_index)
+
+    @pytest.mark.parametrize("kind", ["trajectory", "field"])
+    def test_status_is_read_not_stored(self, kind):
+        # one stored end, the escape index: a status passed where it stood is refused
+        result = self._result(kind, None)
+        assert "status" not in {f.name for f in dataclasses.fields(result)}
+        with pytest.raises(ValueError, match="does not fit"):
+            self._result(kind, "completed")
 
 
 class TestFixedPoints:
