@@ -31,6 +31,7 @@ __all__ = [
     "LowerBoundConstants",
     "upper_bound_b",
     "limit_upper_bound",
+    "comparison_lower_bound",
     "lower_bound_constants",
     "lower_bound_T",
     "envelope_w",
@@ -57,6 +58,25 @@ def upper_bound_b(order: FractionalOrder) -> float:
 def limit_upper_bound() -> float:
     """The alpha -> 0 limit exp(1 - gamma) = 1.52620511... of the upper bound."""
     return math.exp(1.0 - euler_mascheroni())
+
+
+def comparison_lower_bound(order: FractionalOrder) -> float:
+    """Lower bound T_cmp = (Gamma(1+alpha)/4)^(1/alpha) on the blow-up time of v(0) = 1.
+
+    Proof. v = 1 + I^alpha[v^2] with a positive kernel, and v is
+    nondecreasing, so v(t) <= 1 + c v(t)^2 with c = t^alpha / Gamma(1+alpha),
+    the kernel's integral over [0, t]. While c < 1/4 this confines the
+    continuous v to the branch v <= 2 / (1 + sqrt(1 - 4c)) <= 2 through
+    v(0) = 1: v stays finite for t < T_cmp. At alpha = 1 it is 1/4.
+
+    Evaluated as exp((lgamma(1+alpha) - ln 4)/alpha). Raises ValueError
+    naming alpha below the smallest normal double (alpha < ~0.00196).
+    """
+    a = order.alpha
+    t_cmp = math.exp((log_gamma(1.0 + a) - math.log(4.0)) / a)
+    if not t_cmp >= sys.float_info.min:
+        raise ValueError(f"the comparison lower bound underflows at alpha {a!r}: below the smallest normal double")
+    return t_cmp
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ shortest-round-trip precision so identical parameters reproduce identical
 bytes.
 
 Exit codes: 0 success, 2 argument errors or violated preconditions,
-3 numerical failure (CFL violation, bound-consistency failure, bracket
-outside the theoretical sandwich), 4 no blow-up detected below the horizon.
+3 numerical failure (CFL violation, bound-consistency failure, bracket outside
+the theoretical sandwich, an under-resolved ladder: fode._bracket), 4 no
+blow-up detected below the horizon.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blowup", help="bracket the blow-up time, JSON report")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--refinements", type=int, default=3, help="number of step halvings (>= 1)")
-    p.add_argument("--step", type=float, default=8e-4, help="seed step of the ladder")
+    p.add_argument("--step", type=float, default=8e-4, help="largest seed step of the ladder (see estimate_blowup)")
     p.add_argument("--horizon", type=float, default=1.7)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="delta of the reported lower bound")
     p.set_defaults(func=_cmd_blowup)
@@ -358,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except _fode.NoBlowupDetected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConsistencyError, _pde.CflError) as exc:
+    except (ConsistencyError, _pde.CflError, _fode.UnderResolvedLadder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

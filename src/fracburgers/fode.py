@@ -1,21 +1,15 @@
 """Scalar fractional Cauchy solver and blow-up bracketing.
 
-Solves ^C D^alpha v = f(v), v(0) = v0 through the equivalent Volterra
-integral form with a product-integration predictor-corrector (Diethelm, Ford
-& Freed, Nonlinear Dyn. 29, 2002): predictor by product-rectangle weights,
-corrector by product-trapezoid weights, both from the frac_ops tables, as in
-frac_ops.rl_fractional_integral, so the corrector's fixed point is the
-discrete Volterra equation itself. alpha = 1 is routed to an explicit
-second-order one-step method.
-
-The march sums the history g_j = f(v_j) - f(v_0) in one frac_ops.LaggedSum
-with two weight rows, predictor and corrector (full sums, exact blocked
-reordering, no windowing: the memory term is the object under study), and
-adds f(v_0) through the closed-form weight sums of the rules on constants.
-It walks the sum one base block at a time, in one tight loop per block with
-no method call per step, and takes its near sums by the protocol of
-LaggedSum.blocks, adding the in-group lags in floats. Each block's powers
-(n+1)^alpha come from one numpy call.
+Solves ^C D^alpha v = f(v), v(0) = v0 through its Volterra form by the
+implicit product-integration trapezoidal rule (Garrappa, Math. Comput.
+Simul. 110, 2015), on the weights of frac_ops.rl_fractional_integral: the
+march solves the discrete Volterra equation itself. f is quadratic, so each
+step's corrector equation is solved in closed form, and a step with no real
+root ends the march; alpha = 1 takes the same root as the implicit
+trapezoid rule. The history g_j = f(v_j) - f(v_0) is summed in full by one
+frac_ops.LaggedSum over one weight row, one base block at a time (its near
+sums by the protocol of LaggedSum.blocks, in floats), and f(v_0) enters
+through the closed-form weight sum of the rule on constants.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +29,7 @@ from .frac_ops import (
     TimeGrid,
     rl_fractional_integral,
 )
+from .bounds import comparison_lower_bound
 from .specfun import gamma
 
 __all__ = [
@@ -44,6 +39,7 @@ __all__ = [
     "RungRecord",
     "BlowupEstimate",
     "NoBlowupDetected",
+    "UnderResolvedLadder",
     "solve",
     "solve_capped",
     "estimate_blowup",
@@ -59,28 +55,64 @@ class NoBlowupDetected(RuntimeError):
         self.trace = trace
 
 
+class UnderResolvedLadder(RuntimeError):
+    """Raised when the last two rungs of a blow-up ladder disagree beyond the gate band."""
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Right-hand side f of ^C D^alpha v = f(v)."""
+    """Right-hand side f(v) = min(a v^2 + b v + k, cap^2) of ^C D^alpha v = f(v).
 
-    fn: Callable[[float], float]
+    :meth:`square` is a = 1; the Mittag-Leffler oracle's decay f = -v is
+    a = 0, b = -1. b <= 0, and a cap (cap = inf is none) needs a >= 0.
+    """
 
-    def __call__(self, r: float) -> float:
-        return self.fn(r)
+    a: float = 1.0
+    b: float = 0.0
+    k: float = 0.0
+    cap: float = math.inf
+
+    def __post_init__(self) -> None:
+        capped_ok = self.a >= 0.0 or self.cap == math.inf
+        if not (math.isfinite(self.a + self.k) and self.b <= 0.0 and self.cap > 0.0 and capped_ok):
+            raise ValueError(f"need finite a, k, b <= 0 and cap > 0, with a >= 0 under a cap; got {self!r}")
+
+    def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
+        r = (self.a * v + self.b) * v + self.k  # the bits of v * v at a = 1, b = k = 0, on every float
+        cap2 = self.cap * self.cap
+        if isinstance(r, np.ndarray):
+            return np.minimum(r, cap2)
+        return cap2 if r > cap2 else r
 
     @classmethod
     def square(cls) -> "Nonlinearity":
-        return cls(lambda r: r * r)
+        return cls()
 
     @classmethod
     def capped_square(cls, cap: float) -> "Nonlinearity":
-        """min(r^2, cap^2): quadratic growth truncated at level cap."""
-        cap = float(cap)
-        if not cap > 0.0:
-            raise ValueError(f"cap must be > 0, got {cap!r}")
-        cap2 = cap * cap
-        # the bits of min(r * r, cap2) on every float, NaN included, without the builtin's call
-        return cls(lambda r: cap2 if r * r > cap2 else r * r)
+        """min(v^2, cap^2): quadratic growth truncated at level cap."""
+        return cls(cap=cap)
+
+    def corrector(self, c: float) -> Callable[[float], float | None]:
+        """The root of v = A + c f(v) as a function of A, or None where no real root exists.
+
+        With x = (A + ck)/(1 - cb) and g = ca/(1 - cb) it is v = x + g v^2, whose
+        root 2x / (1 + sqrt(1 - 4gx)) tends to A as c -> 0. A cap holds it to
+        v <= A + c cap^2, where f(v) <= cap^2, and puts v = A + c cap^2 beyond.
+        """
+        scale = 1.0 / (1.0 - c * self.b)
+        shift, slope, ceiling = c * self.k, 4.0 * c * self.a * scale, c * (self.cap * self.cap)
+        sqrt, inf = math.sqrt, math.inf
+
+        def root(A: float) -> float | None:
+            x = (A + shift) * scale
+            d = 1.0 - slope * x
+            v = (x + x) / (1.0 + sqrt(d)) if d >= 0.0 else inf
+            if v > A + ceiling:
+                v = A + ceiling
+            return v if abs(v) < inf else None
+
+        return root
 
 
 @dataclass(frozen=True)
@@ -88,8 +120,8 @@ class SolverConfig:
     """Grid and stopping rule of one scalar march.
 
     The march takes `step`-sized steps up to `horizon` and stops early at the
-    first node with |v| > `escape_threshold`; the fractional corrector runs
-    `corrector_sweeps` times per step. `grid` is
+    first node with |v| > `escape_threshold`, or at the first step whose
+    corrector has no real root. `grid` is
     ``TimeGrid.spanning(step, horizon)``, which refuses a step longer than
     the horizon. The default threshold 1e10 is the one the blow-up ladder
     marches at, for :func:`estimate_blowup` and the ``blowup`` command
@@ -100,23 +132,19 @@ class SolverConfig:
     step: float
     horizon: float
     escape_threshold: float = 1e10
-    corrector_sweeps: int = 1
     grid: TimeGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", TimeGrid.spanning(self.step, self.horizon))
         if not np.isfinite(self.escape_threshold) or self.escape_threshold <= 0.0:
             raise ValueError(f"escape_threshold must be > 0, got {self.escape_threshold!r}")
-        if int(self.corrector_sweeps) != self.corrector_sweeps or self.corrector_sweeps < 0:
-            raise ValueError(f"corrector_sweeps must be a nonnegative integer, got {self.corrector_sweeps!r}")
-        object.__setattr__(self, "corrector_sweeps", int(self.corrector_sweeps))
 
 
 def check_termination(escape_index: int | None, count: int) -> None:
     """Refuse an escape index that no march of `count` kept steps gives.
 
     An escaped march sets `escape_index` to `count` if it kept the offending
-    value, or to `count` + 1 if that value overflowed; a completed one sets none.
+    value, or to `count` + 1 if that step had none; a completed one sets none.
     """
     if escape_index not in (None, count, count + 1):
         raise ValueError(f"escape_index {escape_index!r} does not fit a march of {count} kept steps")
@@ -127,9 +155,9 @@ class Trajectory:
     """A solved sampled function plus the index at which its march escaped, if it did.
 
     An escaped march's samples run up to and including the first node whose
-    value exceeds the escape threshold (or up to the last finite node if the
-    offending value overflowed to non-finite, in which case escape_index
-    points one past the retained samples).
+    value exceeds the escape threshold, or up to the node before the first
+    step with no finite value (no real corrector root, or an overflow), in
+    which case escape_index points one past the retained samples.
     """
 
     samples: SampledFunction
@@ -218,28 +246,26 @@ def _validate(f: Nonlinearity, v0: float, config: SolverConfig) -> float:
 
 def _finish(values: list[float], step: float, escape_index: int | None) -> Trajectory:
     if len(values) < 2:
-        raise ValueError("first marching step produced a non-finite value")
+        raise ValueError("the first marching step has no finite value (no real corrector root, or an overflow)")
     grid = TimeGrid(step, len(values) - 1)
     return Trajectory(SampledFunction(grid, np.asarray(values)), escape_index)
 
 
 def _solve_classical(f: Nonlinearity, v0: float, config: SolverConfig) -> Trajectory:
-    """Explicit trapezoid (Heun) marching for the alpha = 1 limit."""
+    """The implicit trapezoid rule for alpha = 1: each step the root at c = h/2, A = v_n + (h/2) f(v_n)."""
     h = config.step
     threshold = config.escape_threshold
-    rhs = f.fn
-    values = [v0]
-    v = v0
+    c = 0.5 * h
+    root = f.corrector(c)
+    values, vn, fv = [v0], v0, f(v0)
     for n in range(config.grid.count):
-        fv = rhs(v)
-        vp = v + h * fv
-        vn = v + 0.5 * h * (fv + rhs(vp))
-        if not math.isfinite(vn):
+        vn = root(vn + c * fv)
+        if vn is None or not abs(vn) <= threshold:  # no root, or past the threshold: escaped
+            if vn is not None:
+                values.append(vn)
             return _finish(values, h, n + 1)
         values.append(vn)
-        if abs(vn) > threshold:
-            return _finish(values, h, n + 1)
-        v = vn
+        fv = f(vn)
     return _finish(values, h, None)
 
 
@@ -250,61 +276,51 @@ def _solve_fractional(
     h = config.step
     n_steps = config.grid.count
     threshold = config.escape_threshold
-    sweeps = range(config.corrector_sweeps)
-    c_pred = h ** alpha / gamma(alpha + 1.0)
-    c_corr = h ** alpha / gamma(alpha + 2.0)
+    c = h ** alpha / gamma(alpha + 2.0)
+    root = f.corrector(c)
+    a, b, k, cap2 = f.a, f.b, f.k, f.cap * f.cap  # f, evaluated inline as Nonlinearity.__call__ does
 
-    # The history holds f(v_j) - f(v_0); f(v_0) enters target n + 1 through
-    # the weight sums on constants, (n+1)^alpha and (alpha+1) (n+1)^alpha less
-    # the corrector's weight 1 on f(v_{n+1}). Step n reads target n + 1 as the
-    # block's far sums, Python floats, plus its near sum (LaggedSum.blocks),
-    # and writes g_{n+1} after it.
-    rhs = f.fn
+    # The history holds f(v_j) - f(v_0); f(v_0) enters target n + 1 through the
+    # weight sum on constants, (alpha+1) (n+1)^alpha less the weight 1 on
+    # f(v_{n+1}). Step n reads target n + 1's far sum plus its near sum.
     near = tables.near
-    (w1_pred, w2_pred, w3_pred), (w1_corr, w2_corr, w3_corr) = tables.inner
+    w1, w2, w3 = tables.inner
     sums = LaggedSum(tables, n_steps + 1)
-    f0 = float(rhs(v0))
-    pred_f0 = c_pred * f0
+    f0 = float(f(v0))
     corr_f0 = (alpha + 1.0) * f0
     values = [v0]
     keep = values.append
     # g_0, the group's first two entries, and the near sums of targets 1..3 less their lags 1..3
-    g = g0 = g1 = pred1 = corr1 = pred2 = corr2 = pred3 = corr3 = 0.0
+    g = g0 = g1 = near1 = near2 = near3 = 0.0
     for b0, far, history in sums.blocks():
         if not b0:
             history[0] = 0.0  # g_0
         powers = np.power(np.arange(b0, b0 + len(far), dtype=float), alpha).tolist()  # t^alpha per target t
         for n in range(max(b0 - 1, 0), b0 + len(far) - 1):
             r = n + 1 - b0
-            pred, corr = far[r]
+            hist = far[r]
             i = r & 3  # the target's place in its group of four
             if not i:
-                pred0, corr0, pred1, corr1, pred2, corr2, pred3, corr3 = near[r >> 2].dot(history[b0 : n + 1]).tolist()
-                pred += pred0
-                corr += corr0
+                near0, near1, near2, near3 = near[r >> 2].dot(history[b0 : n + 1]).tolist()
+                hist += near0
             elif i == 1:
                 g0 = g
-                pred += pred1 + w1_pred * g
-                corr += corr1 + w1_corr * g
+                hist += near1 + w1 * g
             elif i == 2:
                 g1 = g
-                pred += pred2 + (w2_pred * g0 + w1_pred * g)
-                corr += corr2 + (w2_corr * g0 + w1_corr * g)
+                hist += near2 + (w2 * g0 + w1 * g)
             else:
-                pred += pred3 + (w3_pred * g0 + w2_pred * g1 + w1_pred * g)
-                corr += corr3 + (w3_corr * g0 + w2_corr * g1 + w1_corr * g)
-            p = powers[r]
-            vp = v0 + c_pred * pred + pred_f0 * p
-            hist = corr + (corr_f0 * p - f0)
-            vn = vp
-            for _ in sweeps:
-                vn = v0 + c_corr * (hist + rhs(vn))
-            if not abs(vn) <= threshold:  # past the finite threshold, or NaN: escaped
-                if math.isfinite(vn):  # a non-finite value is not kept
+                hist += near3 + (w3 * g0 + w2 * g1 + w1 * g)
+            vn = root(v0 + c * (hist + (corr_f0 * powers[r] - f0)))
+            if vn is None or not abs(vn) <= threshold:  # no root, or past the threshold: escaped
+                if vn is not None:
                     keep(vn)
                 return _finish(values, h, n + 1)
             keep(vn)
-            g = rhs(vn) - f0
+            g = (a * vn + b) * vn + k  # f(vn)
+            if g > cap2:
+                g = cap2
+            g -= f0
             history[n + 1] = g
     return _finish(values, h, None)
 
@@ -314,16 +330,16 @@ def solve(
 ) -> Trajectory:
     """March the Volterra form of ^C D^alpha v = f(v), v(0) = v0.
 
-    Terminates at the horizon or at the first node whose value exceeds the
-    escape threshold, whichever comes first. The fractional march reads its
-    weights from `_tables` (:meth:`LagTables.predictor_corrector` of the same
-    alpha), which :func:`estimate_blowup` shares between its rungs; left out,
-    the march builds its own.
+    Terminates at the horizon, at the first node past the escape threshold,
+    or at the first step with no real corrector root, whichever comes first.
+    The fractional march reads `_tables` (:meth:`LagTables.product_trapezoid`
+    of the same alpha), which :func:`estimate_blowup` shares between its
+    rungs; left out, the march builds its own.
     """
     v0 = _validate(f, v0, config)
     if order.is_classical:
         return _solve_classical(f, v0, config)
-    tables = LagTables.predictor_corrector(order.alpha) if _tables is None else _tables
+    tables = LagTables.product_trapezoid(order.alpha) if _tables is None else _tables
     return _solve_fractional(f, v0, order, config, tables)
 
 
@@ -342,62 +358,81 @@ def volterra_residual(traj: Trajectory, f: Nonlinearity, order: FractionalOrder)
     """Max abs defect of the trajectory in the discrete Volterra equation.
 
     Substitutes the computed values into v0 + I^alpha[f(v)] evaluated by
-    frac_ops.rl_fractional_integral and returns the worst node mismatch. The
-    march and the residual share the product-trapezoid interior table and
-    both add f(v_0) through the closed-form weight sum (alpha+1) n^alpha;
-    only the summation path is independent (one full-length real FFT here,
-    which shares no blocking with the march's lagged sums).
+    frac_ops.rl_fractional_integral and returns the worst node mismatch: the
+    weights are the march's, the summation path (one full-length real FFT,
+    no blocking) is independent. A march leaves a roundoff residual.
     """
-    values = traj.values
-    fv = SampledFunction(traj.samples.grid, np.fromiter(map(f.fn, values.tolist()), float, len(values)))
+    fv = SampledFunction(traj.samples.grid, f(traj.values))
     rhs = traj.values[0] + rl_fractional_integral(fv, order).values
     return float(np.max(np.abs(rhs - traj.values)))
+
+
+SEED_STEPS = 100  # K: the seed cap gives the finest rung at least about K steps
+GATE_BAND = (-4.0, 3.0)  # resolved (e_prev - e_fine) / h_fine; the offset model gives [-3.52, 2.24]
+
+
+def _bracket(rungs: Sequence[RungRecord]) -> tuple[float, float]:
+    """[e - h, e + 2h] around the finest rung's escape time e.
+
+    e came at T + o h with o in [-1.60, 0.32] against marches 100x finer:
+    measured, not proved. Raises
+    :class:`UnderResolvedLadder` when (e_prev - e_fine) / h_fine leaves
+    `GATE_BAND`, or when the finest rung escapes at its first step.
+    """
+    prev, fine = rungs[-2:]
+    h = fine.step
+    gap = prev.steps * (prev.step / h) - fine.steps  # exact for halved steps
+    if not (GATE_BAND[0] <= gap <= GATE_BAND[1] and fine.steps > 1):
+        raise UnderResolvedLadder(
+            f"the ladder is under-resolved: its last two rungs escape {gap:g} finest steps apart "
+            f"(band {list(GATE_BAND)}), the finest after {fine.steps} steps of {h!r}"
+        )
+    return fine.steps * h - h, fine.steps * h + 2.0 * h
 
 
 def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinements: int = 3) -> BlowupEstimate:
     """Bracket the blow-up time of ^C D^alpha v = v^2, v(0) = 1.
 
-    Marches a step ladder: the seed step halved `refinements` times, every
-    rung at the seed's escape threshold, horizon and corrector sweeps. Each
-    rung gives one escape index. The upper end of the bracket is the escape
-    time at the finest step plus one step; the lower end subtracts a
-    Richardson-style correction taken from the last step-halving difference.
-    No growth-rate model is assumed.
+    Marches a step ladder: a seed step halved `refinements` times, every
+    rung at the seed's escape threshold and horizon. The seed is the
+    config's step or, if smaller, 2^refinements T_cmp / `SEED_STEPS` with
+    T_cmp the proved :func:`bounds.comparison_lower_bound`. Each rung gives
+    one escape index, and :func:`_bracket` the bracket.
 
-    Every rung marches at the same alpha, so at a fractional alpha all of
-    them read one set of weight tables
-    (:meth:`frac_ops.LagTables.predictor_corrector`), built for this call:
-    each block level's table is computed once, by the first rung that
-    reaches the level, and the sums are bit-identical to those of marches on
-    tables of their own. At alpha = 1 the rungs march the one-step method,
-    and no tables are built. The estimate keeps one
-    :class:`RungRecord` per rung, from which its trace is derived.
+    At a fractional alpha the rungs read one set of weight tables
+    (:meth:`frac_ops.LagTables.product_trapezoid`), built for this call, each
+    level once, with the bits of tables of their own; at alpha = 1 none is
+    built. The estimate keeps one :class:`RungRecord` per rung.
 
     Every rung's grid is checked before the first march; a refused rung
     raises ValueError naming its index and step, the seed step and
-    `refinements`. Raises :class:`NoBlowupDetected`, carrying the trace of
-    the rungs before it, at the first rung whose march completes its horizon
-    without escaping; a partial ladder never yields a fabricated estimate.
+    `refinements`. The first rung that completes its horizon without
+    escaping raises :class:`NoBlowupDetected` with the trace before it.
     """
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
 
     f = Nonlinearity.square()
     threshold = config_seed.escape_threshold
-    # ldexp halves the seed step exactly and underflows to a refused 0 where
-    # 2.0 ** i would overflow, so a huge `refinements` stops after about 1100 rungs
+    # ldexp halves a step exactly and underflows to a refused 0 where 2.0 ** i
+    # would overflow, so a huge `refinements` stops after about 1100 rungs; the
+    # cap is scaled up only where that stays below the seed
+    seed = config_seed.step
+    finest = comparison_lower_bound(order) / SEED_STEPS
+    if math.ldexp(seed, -refinements) > finest:
+        seed = math.ldexp(finest, refinements)
     rungs = []
     for i in range(refinements + 1):
-        step = math.ldexp(config_seed.step, -i)
+        step = math.ldexp(seed, -i)
         try:
             rungs.append(replace(config_seed, step=step))
         except ValueError as exc:
             raise ValueError(
-                f"ladder rung {i} (step {step!r}, the seed step {config_seed.step!r} "
+                f"ladder rung {i} (step {step!r}, the seed step {seed!r} "
                 f"halved {i} times; refinements {refinements}) is refused: {exc}"
             ) from exc
 
-    tables = None if order.is_classical else LagTables.predictor_corrector(order.alpha)
+    tables = None if order.is_classical else LagTables.product_trapezoid(order.alpha)
     records: list[RungRecord] = []
     for rung in rungs:
         start = perf_counter()
@@ -410,13 +445,4 @@ def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinemen
                 _trace(threshold, records),
             )
         records.append(RungRecord(rung.step, traj.escape_index, wall))
-
-    fine, prev = records[-1], records[-2]
-    h_fine = fine.step
-    e_fine = fine.steps * h_fine
-    e_prev = prev.steps * prev.step
-    t_hi = e_fine + h_fine
-    correction = abs(e_prev - e_fine) + h_fine
-    t_lo = max(e_fine - correction, 0.5 * h_fine)
-    t_lo = min(t_lo, t_hi)
-    return BlowupEstimate(t_lo, t_hi, threshold, tuple(records))
+    return BlowupEstimate(*_bracket(records), threshold, tuple(records))

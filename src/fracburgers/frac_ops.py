@@ -10,26 +10,20 @@ exactness contracts in the tests sharp.
 
 Every weight formula of the package lives here: one power-increment table
 (k+1)^p - k^p, evaluated as k^p expm1(p log1p(1/k)) so that it does not
-cancel, gives the L1 weights (p = 1 - alpha) and the product-rectangle
-predictor weights (p = alpha); the product-trapezoid interior table is a
-second difference of k^(a+1), which cancels about k^2-fold in closed form,
-so it is summed as a binomial series of positive terms. No left-boundary
-weight is tabulated: the product rules are exact on constants, so callers
-sum g - g(t_0) and add g(t_0) times the closed-form weight sum.
+cancel, gives the L1 weights (p = 1 - alpha) of the pde; the fode's
+product-trapezoid interior table is a second difference of k^(a+1), which
+cancels about k^2-fold in closed form, so it is summed as a binomial series
+of positive terms. No left-boundary weight is tabulated: the product rules
+are exact on constants, so callers sum g - g(t_0) and add g(t_0) times the
+closed-form weight sum.
 
 The marching solvers (fode, pde) take their memory terms from one
 primitive, :class:`LaggedSum`, which evaluates the full O(N^2) sum in
 O(N log^2 N) by an exact blocked reordering (Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6, 1985): every pair of history entry and target
-is still summed once, with no history compression and no windowing, on
-buffers that grow with the march. A march walks it one base block of
-targets at a time (:meth:`LaggedSum.blocks`, which states the protocol of
-its near sums), so that its inner loop makes no call into it per step; the
-class says how each block reaches the targets after it, by a direct product
-on the short blocks and by FFT beyond. Its weight tables live in a
-:class:`LagTables`, which marches of one weight kind share: it holds the
-near weights and builds each block level's table from exactly that level's
-lags, the first time a march reaches the level.
+SIAM J. Sci. Stat. Comput. 6, 1985), with no compression and no windowing.
+A march walks it one base block of targets at a time
+(:meth:`LaggedSum.blocks`), with no call into it per step, on the weight
+tables of a :class:`LagTables` that marches of one weight kind share.
 :func:`caputo_left` and :func:`rl_fractional_integral` evaluate the same sums
 in one batch, as one full-length zero-padded real FFT
 (:func:`_causal_convolution`, O(N log N)) that shares no blocking with
@@ -172,8 +166,7 @@ class SampledFunction:
 def _power_increments(p: float, count: int) -> np.ndarray:
     """(k+1)^p - k^p for k = 0..count-1.
 
-    With p = 1 - alpha these are the L1 weights b_k; with p = alpha they are
-    the product-rectangle (predictor) weights of lag k + 1. The difference of
+    With p = 1 - alpha these are the L1 weights b_k. The difference of
     the two powers cancels about k/p-fold, so for k >= 1 the table takes the
     equal form k^p expm1(p log1p(1/k)), which keeps every entry within a few
     ulps; the entry at k = 0 is 1.
@@ -215,55 +208,43 @@ def _pt_weights(alpha: float, count: int) -> np.ndarray:
 
 
 _BLOCK = 128  # base block B of LaggedSum: lags below it are summed directly
-# the most weights of a block level's Toeplitz matrix: a level within it is added
-# by one direct product, a longer one by FFT (a larger matrix costs more to build
-# and to read at each flush of a scalar history than its transform)
+# the most weights of a block level added by one direct product, not by FFT (a
+# larger matrix costs more to build and to read at a scalar flush than its transform)
 _DIRECT_ENTRIES = 1 << 16
 _FFT_ENTRIES = 1 << 16  # complex entries per column chunk of a block transform
 
 
 class LagTables:
-    """The weight tables of one weight kind, shared by every :class:`LaggedSum` built on them.
+    """The weight row of one weight kind, shared by every :class:`LaggedSum` built on it.
 
-    ``weights(m)`` returns w_1..w_m, as one row or as several rows (shape
-    (rows, m)); its entries must depend on the lag k alone, not on m. The
-    object memoizes what marches read and never write: the near part of the
-    direct sum and one table per block level L (from ``weights(2L - 1)``, at
-    the first request, :meth:`level`). The near part comes from one
-    ``weights(B - 1)`` call, laid out for the group products of
-    :meth:`LaggedSum.blocks`: `near[q]`, for q = 0..B/4 - 1, stacks the
-    weight rows of targets 4q, 4q + 1, 4q + 2 and 4q + 3, target
-    4q + i less its lags 1..i (w_4q+i..w_i+1), all against the 4q entries
-    before target 4q, as one C-contiguous matrix of shape (4R, 4q) for R
-    weight rows. `inner` holds w_1, w_2, w_3 (a list of three floats, or
-    one such list per row), the lags a target still lacks on the entries of
-    its own group written before it. `rows` is the shape of one weight
-    column: () for a 1-D table, (R,) for R rows.
-    Its contents depend only on the levels reached, so marches of one weight
-    kind (the rungs of a blow-up ladder) share one object and compute each
-    table once. The package's weight kinds are :meth:`predictor_corrector`
-    (fode) and :meth:`l1` (pde).
+    ``weights(m)`` returns w_1..w_m, each entry depending on the lag k
+    alone. The object memoizes what marches read and never write: one table
+    per block level L (from ``weights(2L - 1)``, at the first request,
+    :meth:`level`) and the near part, laid out for the group products of
+    :meth:`LaggedSum.blocks`: `near[q]`, q = 0..B/4 - 1, is the C-contiguous
+    (4, 4q) matrix whose row i holds target 4q + i less its lags 1..i
+    (w_4q+i..w_i+1) against the 4q entries before target 4q; `inner` holds
+    w_1, w_2, w_3, the lags a target lacks on its own group's entries.
+    Marches of one kind (the rungs of a blow-up ladder) share one object and
+    compute each table once. The kinds are :meth:`product_trapezoid` (fode)
+    and :meth:`l1` (pde).
     """
 
-    __slots__ = ("_weights", "rows", "near", "inner", "_levels")
+    __slots__ = ("_weights", "near", "inner", "_levels")
 
     def __init__(self, weights: Callable[[int], np.ndarray]):
         self._weights = weights
         table = weights(_BLOCK - 1)
-        self.rows = table.shape[:-1]
-        self.inner = table[..., :3].tolist()
-        lags = table.reshape(-1, _BLOCK - 1)[:, ::-1]  # w_{B-1}..w_1 per row: column B - 1 - k holds w_k
+        self.inner = table[:3].tolist()
+        lags = table[::-1]  # w_{B-1}..w_1: index B - 1 - k holds w_k
         last = _BLOCK - 1
-        self.near = [
-            np.concatenate([lags[:, last - 4 * q - i : last - i] for i in range(4)])
-            for q in range(_BLOCK // 4)
-        ]
+        self.near = [np.stack([lags[last - 4 * q - i : last - i] for i in range(4)]) for q in range(_BLOCK // 4)]
         self._levels: list[np.ndarray] = []  # level l: its Toeplitz matrix or its spectrum
 
     @classmethod
-    def predictor_corrector(cls, alpha: float) -> "LagTables":
-        """The product-rectangle and product-trapezoid rows of the fractional Volterra march."""
-        return cls(lambda m: np.stack((_power_increments(alpha, m), _pt_weights(alpha, m))))
+    def product_trapezoid(cls, alpha: float) -> "LagTables":
+        """The product-trapezoid interior weights d_1..d_m of the fractional Volterra march."""
+        return cls(lambda m: _pt_weights(alpha, m))
 
     @classmethod
     def l1(cls, alpha: float) -> "LagTables":
@@ -273,23 +254,22 @@ class LagTables:
     def level(self, level: int) -> np.ndarray:
         """The lags w_1..w_{2L-1} of block level `level` (L = B 2^level), as its flush reads them.
 
-        For R weight rows, while R L^2 <= ``_DIRECT_ENTRIES`` (L <= 2B for one
-        row, L = B for two) they form a Toeplitz matrix of shape (L R, L): row
-        i R + r holds weight row r of target i after the block, w_{L+i-j}
-        against entry j of the block. Beyond it they form a spectrum of shape
-        (R, L + 1, 1).
+        While L^2 <= ``_DIRECT_ENTRIES`` (L <= 2B) they form a Toeplitz
+        matrix of shape (L, L): row i holds target i after the block,
+        w_{L+i-j} against entry j of the block. Beyond it they form a
+        spectrum of shape (L + 1,).
         """
         if level == len(self._levels):  # a march reaches its levels in increasing order
             size = _BLOCK << level
-            lags = self._weights(2 * size - 1).reshape(-1, 2 * size - 1)
-            if len(lags) * size * size <= _DIRECT_ENTRIES:
+            lags = self._weights(2 * size - 1)
+            if size * size <= _DIRECT_ENTRIES:
                 # window p of w_{2L-1}..w_1 is w_{2L-1-p}..w_{L-p}: the row of target L - 1 - p
-                windows = np.lib.stride_tricks.sliding_window_view(lags[:, ::-1], size, axis=-1)
-                table = np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2)).reshape(-1, size)
+                windows = np.lib.stride_tricks.sliding_window_view(lags[::-1], size)
+                table = np.ascontiguousarray(windows[::-1])
             else:
                 # rfft pads w_1..w_{2L-1} with one zero: the segment w_0..w_{2L-1}
                 # rotated by one lag, so the block outputs are read one index early
-                table = np.fft.rfft(lags, 2 * size)[..., None]
+                table = np.fft.rfft(lags, 2 * size)
             self._levels.append(table)
         return self._levels[level]
 
@@ -299,86 +279,62 @@ class LaggedSum:
 
     The history g_0, g_1, ... holds up to `capacity` entries (scalars, or
     rows of the given shape), and every target n < capacity reads s_n before
-    g_n is written; the last entry is kept but feeds no sum. The weights w_k
-    come from `tables` (:class:`LagTables`), one row or several; with several
-    rows there is one sum per row. An empty history sums to 0. Every
-    marching scheme in the package takes its memory term from here, through
-    one driver, :meth:`blocks`.
+    g_n is written; the last entry is kept but feeds no sum. An empty
+    history sums to 0. Every march in the package takes its memory term from
+    here, through one driver, :meth:`blocks`.
 
     The sum is the full one, reordered exactly in dyadic blocks (Hairer,
-    Lubich & Schlichte 1985) so that n steps cost O(n log^2 n) instead of
-    O(n^2):
-
-    * near part: the lags inside the current base block of B = 128 entries,
-      summed directly by the march (:meth:`blocks`);
-    * far part: when the history length s reaches a multiple of B, with
-      L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s] adds
-      its contribution to the targets s..s+L-1 through the lags
-      w_1..w_{2L-1}: as one direct product with their Toeplitz matrix while
-      that holds at most 2^16 weights (L <= 2B for one weight row, L = B for
-      two), computed whole and read in its first rows, so that no bit
-      depends on the capacity; beyond it through one real FFT of length 2L
-      against w_0..w_{2L-1} (w_0 = 0), inverse-transformed for every weight
-      row at once while rows x columns x (L + 1) stays within 2^16 complex
-      entries and one row at a time beyond, which bounds the temporaries of
-      the long levels (the bits are the same either way). That weight
-      segment is the same for every block of a level, so the tables hold
-      one matrix or spectrum per level (:meth:`LagTables.level`).
-
-    Every (target, source) pair is counted exactly once, by the near part or
-    by the one block pair whose halves separate them; nothing is compressed or
-    windowed. The tables are shared and read only; what the march owns, the
-    history and far-sum buffers, grows with the history, with `capacity` only
-    the upper limit: both start at min(capacity, B) rows and double in place
-    at a flush. With one weight row the far sums of future targets live in
-    the history buffer's not-yet-written slots (slot n holds far[n] until g_n
-    overwrites it), so they cost no memory of their own.
+    Lubich & Schlichte 1985) so that n steps cost O(n log^2 n): the lags
+    inside the current base block of B = 128 entries are summed by the march
+    (:meth:`blocks`); when the history length s reaches a multiple of B,
+    with L = B * 2^v and v the 2-adic valuation of s / B, the block g[s-L:s]
+    adds its part to the targets s..s+L-1 through w_1..w_{2L-1}, one
+    matrix or spectrum per level (:meth:`LagTables.level`): as one direct
+    product while the Toeplitz matrix holds at most 2^16 weights (L <= 2B),
+    computed whole so that no bit depends on the capacity, and beyond it by
+    a real FFT of length 2L, at most 2^16 complex entries of history columns
+    at a time, which bounds the temporaries. Every (target, source) pair is
+    counted once; nothing is compressed or windowed. The history buffer
+    starts at min(capacity, B) rows and doubles in place at a flush, and its
+    not-yet-written slots hold the far sums of future targets (slot n holds
+    far[n] until g_n overwrites it).
     """
 
-    __slots__ = ("_tables", "_capacity", "_history", "_far")
+    __slots__ = ("_tables", "_capacity", "_history")
 
     def __init__(self, tables: LagTables, capacity: int, shape: tuple[int, ...] = ()):
         self._tables = tables
         self._capacity = capacity
-        rows = min(capacity, _BLOCK)
-        self._history = np.zeros((rows, *shape))
-        self._far = np.zeros((rows, *tables.rows, *shape)) if tables.rows else self._history
+        self._history = np.zeros((min(capacity, _BLOCK), *shape))
 
     def blocks(self) -> Iterator[tuple[int, list | np.ndarray, np.ndarray]]:
         """Walk the targets one base block at a time: yields (b0, far, history).
 
         One tuple per base block b0 = 0, B, 2B, ... below `capacity`; its
-        targets are n = b0 .. b0 + len(far) - 1. The caller takes them in
-        order, in groups of four with one matrix product per group: this is
-        the near-sum protocol of every march in the package (fode, pde). At
+        targets are n = b0 .. b0 + len(far) - 1, taken in order, in groups of
+        four: the near-sum protocol of every march in the package. At
         r = n - b0 divisible by 4 the caller forms the group product
-        P = tables.near[r // 4] . history[b0:n], whose part i
-        (its rows i R..i R + R - 1 for R weight rows) is the near sum of
-        target n + i less its lags 1..i; it reads s_n = far[r] plus part 0
+        P = tables.near[r // 4] . history[b0:n], whose row i is the near sum
+        of target n + i less its lags 1..i; it reads s_n = far[r] plus row 0
         and writes g_n into history[n]. Target n + i, for i = 1, 2, 3, reads
-        s_{n+i} = far[r + i] plus (part i plus w_i g_n + ... + w_1 g_{n+i-1},
-        the lags from `tables.inner` on the entries of its group written
-        before it), and writes g_{n+i}. A block may end inside a group; the
-        parts of its last product past the end are then not read. Every
-        block that reaches these targets has been added to `far` before the
-        block starts, so the walk needs no call per target; resuming it
-        after the block's last target adds the block that ends there
-        (:meth:`_flush`) and yields the next one. A march that stops early
-        abandons the walk.
+        s_{n+i} = far[r + i] plus (row i plus w_i g_n + ... + w_1 g_{n+i-1},
+        the lags from `tables.inner` on its group's entries), and writes
+        g_{n+i}; rows past a block's end are not read. Every block reaching
+        these targets is in `far` before the block starts; resuming the walk
+        adds the block that ends there (:meth:`_flush`). A march that stops
+        early abandons the walk.
 
-        `history` is the buffer itself, which a flush resizes in place: the
-        caller keeps no view of it across blocks. `far` is a copy of the
-        block's far sums: for a scalar history a list of Python floats (one
-        float per target for one weight row, a list of floats for several),
-        so that the march adds floats, each far sum plus the near sum being
-        the same IEEE addition an ndarray add makes; for a row history an
-        ndarray of the block's rows.
+        `history` is the buffer itself, which a flush resizes in place, so
+        the caller keeps no view of it across blocks. `far` is a copy of the
+        block's far sums: Python floats for a scalar history (each far sum
+        plus the near sum is the IEEE addition an ndarray add makes), an
+        ndarray of rows for a row history.
         """
         scalar = self._history.ndim == 1
         for b0 in range(0, self._capacity, _BLOCK):
             if b0:
                 self._flush(b0)
-            far = self._far[b0 : b0 + _BLOCK]
+            far = self._history[b0 : b0 + _BLOCK]
             far = far.tolist() if scalar else far.copy()  # no view outlives the yield
             yield b0, far, self._history
 
@@ -390,27 +346,21 @@ class LaggedSum:
         count = min(size, self._capacity - s)
         if len(self._history) < s + count:
             # one doubling reaches s + count, since a block is never longer
-            # than the history before it; nothing holds a view of the buffers here
+            # than the history before it; nothing holds a view of the buffer here
             rows = min(2 * len(self._history), self._capacity)
             self._history.resize((rows, *self._history.shape[1:]), refcheck=False)
-            if self._far is not self._history:
-                self._far.resize((rows, *self._far.shape[1:]), refcheck=False)
         table = self._tables.level(level)
         block = self._history[s - size : s].reshape(size, -1)
-        far = self._far[s : s + count].reshape(count, -1, block.shape[1])
+        far = self._history[s : s + count].reshape(count, -1)
         if table.ndim == 2:  # a Toeplitz matrix, not a spectrum
             # the whole product for any count, so that no bit depends on the capacity
-            far += np.dot(table, block).reshape(size, -1, block.shape[1])[:count]
+            far += np.dot(table, block)[:count]
             return
         chunk = max(1, _FFT_ENTRIES // (size + 1))
         for c in range(0, block.shape[1], chunk):
             g = np.fft.rfft(block[:, c : c + chunk], 2 * size, axis=0)
-            # every weight row in one inverse transform while their products hold at
-            # most _FFT_ENTRIES entries; beyond, one row at a time bounds the temporaries
-            rows = len(table) if len(table) * g.size <= _FFT_ENTRIES else 1
-            for r in range(0, len(table), rows):
-                tail = np.fft.irfft(table[r : r + rows] * g, 2 * size, axis=1)
-                far[:, r : r + rows, c : c + chunk] += tail[:, size - 1 : size - 1 + count].swapaxes(0, 1)
+            tail = np.fft.irfft(table[:, None] * g, 2 * size, axis=0)
+            far[:, c : c + chunk] += tail[size - 1 : size - 1 + count]
 
 
 def _smooth_length(n: int) -> int:

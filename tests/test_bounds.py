@@ -2,17 +2,24 @@
 consistency of the two lower-bound expressions, envelope behavior, and the
 monotonicity/limit laws of the upper bound."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracburgers import (
     ConsistencyError,
     FractionalOrder,
     SampledFunction,
     TimeGrid,
+    SolverConfig,
     caputo_left,
+    comparison_lower_bound,
     envelope_w,
+    estimate_blowup,
     envelope_z,
     limit_upper_bound,
     lower_bound_T,
@@ -32,6 +39,42 @@ T_A05_D05 = 0.004143070534337008
 
 def FO(a):
     return FractionalOrder(a)
+
+
+class TestComparisonLowerBound:
+    def test_classical_value_is_a_quarter(self):
+        # (Gamma(2) / 4)^1: a quarter of the classical blow-up time 1
+        assert comparison_lower_bound(FO(1.0)) == 0.25
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.9])
+    def test_matches_mpmath(self, alpha):
+        with mp.workdps(40):
+            want = (mp.gamma(1 + mp.mpf(alpha)) / 4) ** (1 / mp.mpf(alpha))
+        assert comparison_lower_bound(FO(alpha)) == pytest.approx(float(want), rel=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(alpha=st.floats(0.01, 1.0))
+    def test_bound_is_below_the_marched_escape(self, alpha):
+        # T_cmp <= T, and the ladder's bracket holds T: T_cmp lies below every escape
+        order = FO(alpha)
+        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        assert comparison_lower_bound(order) <= est.t_lo
+        assert comparison_lower_bound(order) <= min(r.steps * r.step for r in est.rungs)
+
+    @given(alpha=st.floats(0.0019, 1.0))
+    def test_no_overflow(self, alpha):
+        # finite and positive wherever it does not underflow, which is refused naming alpha
+        try:
+            t = comparison_lower_bound(FO(alpha))
+        except ValueError as exc:
+            assert f"alpha {alpha!r}" in str(exc) and alpha < 0.00196
+        else:
+            assert 0.0 < t <= 0.25 and math.isfinite(t)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-5, 0.0015])
+    def test_underflow_is_refused_naming_alpha(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha {alpha!r}"):
+            comparison_lower_bound(FO(alpha))
 
 
 class TestUpperBound:

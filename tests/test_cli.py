@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracburgers import FractionalOrder, SolverConfig, cli, estimate_blowup, gamma, lower_bound_T
+from fracburgers import fode as _fode
 from fracburgers.cli import _read_sampled_csv, main
 
 
@@ -214,15 +215,36 @@ class TestBlowup:
         assert len(report["refinement_trace"]) == 4
 
     def test_ladder_marches_every_rung_at_1e10(self, capsys):
-        # at this alpha the finest rung passes 1e6 after 49 steps and 1e10
-        # after 50; the bracket is the one the ladder reads at 1e10
+        # at this alpha the PECE ladder's finest rung passed 1e10 after 50 steps
+        # of 1e-4, with the bracket (0.0040999999999999995, 0.0051); the ladder
+        # now marches from the capped seed, and its finest rung loses its root
+        # after 298 steps, well before any value reaches 1e10
         rc, report = run_json(capsys, ["blowup", "--alpha", "0.2241144715294"])
         assert rc == 0
         assert [e["threshold"] for e in report["refinement_trace"]] == [1e10] * 4
         finest = report["refinement_trace"][-1]
-        assert round(finest["escape_time"] / finest["step"]) == 50
-        assert (report["t_lo"], report["t_hi"]) == (0.0040999999999999995, 0.0051)
+        assert round(finest["escape_time"] / finest["step"]) == 298
+        assert (report["t_lo"], report["t_hi"]) == (0.004056226777327431, 0.004097198764977204)
         assert main(["blowup", "--alpha", "0.5", "--threshold", "1e6"]) == 2  # no such option
+
+    def test_small_alpha_ladder_is_resolved(self, capsys):
+        # T = 1.397e-6 at alpha 0.1: the capped seed gives the finest rung 241 steps
+        rc, report = run_json(capsys, ["blowup", "--alpha", "0.1"])
+        assert rc == 0
+        finest = report["refinement_trace"][-1]
+        assert round(finest["escape_time"] / finest["step"]) >= 100
+        assert report["t_lo"] <= 1.3972e-6 <= report["t_hi"]
+
+    def test_under_resolved_ladder_exits_3(self, capsys, monkeypatch):
+        # a gate band that no ladder falls in: every bracket is refused
+        monkeypatch.setattr(_fode, "GATE_BAND", (0.5, 0.5))
+        assert main(["blowup", "--alpha", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ladder is under-resolved") and err.count("\n") == 1
+
+    def test_underflowing_seed_cap_exits_2(self, capsys):
+        assert main(["blowup", "--alpha", "0.0015"]) == 2
+        assert "alpha 0.0015" in capsys.readouterr().err
 
     # the acceptance alphas, the edge alpha and three alphas whose ladder
     # moves by an escape step between the thresholds 1e6 and 1e10

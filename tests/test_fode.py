@@ -8,7 +8,7 @@ import struct
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracburgers import fode, frac_ops
@@ -18,6 +18,8 @@ from fracburgers import (
     Nonlinearity,
     SolverConfig,
     TimeGrid,
+    UnderResolvedLadder,
+    comparison_lower_bound,
     envelope_w,
     envelope_z,
     estimate_blowup,
@@ -32,37 +34,64 @@ SQUARE = Nonlinearity.square()
 B = frac_ops._BLOCK  # the base block of the memory sum's block walk
 
 
-def _pece_direct(alpha, h, n_steps, sweeps, v0=1.0):
-    """The PECE scheme for v' = v^2, written out weight by weight in a double loop.
+def _direct_scheme(alpha, h, n_steps, v0=1.0, cap=math.inf, sweeps=None, threshold=1e10):
+    """The product-trapezoid scheme for v' = min(v^2, cap^2), weight by weight in a double loop.
 
-    The product-trapezoid weights are second differences of k^(a+1), which
-    cancel about k^2-fold in doubles, so their closed forms are evaluated in
-    40 digits.
+    Returns the values kept and the escape index (None if the march
+    completes). Each step solves its corrector equation v = A + c f(v),
+    c = h^alpha / Gamma(alpha+2): by default exactly, as the smaller root of
+    c v^2 - v + A in 40 digits while that root is at most the cap, else
+    A + c cap^2; a step with no real root ends the march and keeps no value.
+    With `sweeps`, the PECE of Diethelm, Ford & Freed instead: a
+    product-rectangle predictor, then that many fixed-point sweeps of the
+    corrector, ending the march at the first value past `threshold`, which
+    is kept. The product-trapezoid weights are second differences of
+    k^(a+1), which cancel about k^2-fold in doubles, so their closed forms
+    are evaluated in 40 digits.
     """
     c_pred = h ** alpha / math.gamma(alpha + 1.0)
     c_corr = h ** alpha / math.gamma(alpha + 2.0)
+    cap2 = cap * cap
+
+    def f(r):
+        return min(r * r, cap2)
+
     with mp.workdps(40):
         a = mp.mpf(alpha)
         nodes = [mp.mpf(k) for k in range(1, n_steps + 1)]
         # indexed by target m and by lag k; entry 0 unused
         left = [0.0] + [float((m - 1) ** (a + 1) - m ** a * (m - a - 1)) for m in nodes]
         inner = [0.0] + [float((k + 1) ** (a + 1) + (k - 1) ** (a + 1) - 2 * k ** (a + 1)) for k in nodes]
-    v, fv = [v0], [v0 * v0]
+    v, fv = [v0], [f(v0)]
     for m in range(1, n_steps + 1):
-        pred = 0.0
-        for j in range(m):  # product rectangle, lag k = m - j
-            k = m - j
-            pred += (k ** alpha - (k - 1) ** alpha) * fv[j]
         # product trapezoid: left-boundary weight on f(v_0), interior on f(v_1..v_{m-1})
         hist = left[m] * fv[0]
         for j in range(1, m):
             hist += inner[m - j] * fv[j]
-        vn = v0 + c_pred * pred
-        for _ in range(sweeps):
-            vn = v0 + c_corr * (hist + vn * vn)
+        A = v0 + c_corr * hist
+        if sweeps is None:
+            with mp.workdps(40):
+                disc = 1 - 4 * mp.mpf(c_corr) * mp.mpf(A)
+                vn = float((1 - mp.sqrt(disc)) / (2 * mp.mpf(c_corr))) if disc >= 0 else math.inf
+            if not vn * vn <= cap2:
+                vn = A + c_corr * cap2
+            if not math.isfinite(vn):
+                return np.array(v), m
+        else:
+            pred = 0.0
+            for j in range(m):  # product rectangle, lag k = m - j
+                k = m - j
+                pred += (k ** alpha - (k - 1) ** alpha) * fv[j]
+            vn = v0 + c_pred * pred
+            for _ in range(sweeps):
+                vn = v0 + c_corr * (hist + f(vn))
+            if not abs(vn) <= threshold:
+                if math.isfinite(vn):
+                    v.append(vn)
+                return np.array(v), m
         v.append(vn)
-        fv.append(vn * vn)
-    return np.array(v)
+        fv.append(f(vn))
+    return np.array(v), None
 
 
 def _mittag_leffler_at_minus_one(alpha):
@@ -74,22 +103,27 @@ def _mittag_leffler_at_minus_one(alpha):
     return math.fsum((-1) ** k / math.gamma(alpha * k + 1.0) for k in range(600) if alpha * k + 1.0 < 171.0)
 
 
+def _seed_step(order, step, refinements=3):
+    """The ladder's seed: `step`, or 2^refinements T_cmp / 100 if smaller."""
+    return min(step, 2.0 ** refinements * (comparison_lower_bound(order) / 100.0))
+
+
 def _ladder_direct(order, seed, refinements=3):
     """The blow-up ladder as one solve per rung: (t_lo, t_hi, trace)."""
     x = seed.escape_threshold
+    top = _seed_step(order, seed.step, refinements)
     trace = []
     for i in range(refinements + 1):
-        h = seed.step / 2.0 ** i
-        traj = solve(SQUARE, 1.0, order, SolverConfig(h, seed.horizon, x, seed.corrector_sweeps))
+        h = top / 2.0 ** i
+        traj = solve(SQUARE, 1.0, order, SolverConfig(h, seed.horizon, x))
         if traj.status != "escaped":
             raise NoBlowupDetected(
                 f"no blow-up detected below horizon {seed.horizon} (step {h:g}, threshold {x:g})", trace
             )
         trace.append((h, x, traj.escape_time))
     (_, _, e_prev), (h_fine, _, e_fine) = trace[-2:]
-    t_hi = e_fine + h_fine
-    t_lo = min(max(e_fine - (abs(e_prev - e_fine) + h_fine), 0.5 * h_fine), t_hi)
-    return t_lo, t_hi, trace
+    assert -4.0 <= (e_prev - e_fine) / h_fine <= 3.0
+    return e_fine - h_fine, e_fine + 2.0 * h_fine, trace
 
 
 class TestConfig:
@@ -100,8 +134,8 @@ class TestConfig:
             SolverConfig(2.0, 1.0)  # step > horizon
         with pytest.raises(ValueError):
             SolverConfig(0.1, 1.0, escape_threshold=-5.0)
-        with pytest.raises(ValueError):
-            SolverConfig(0.1, 1.0, corrector_sweeps=-1)
+        with pytest.raises(TypeError):
+            SolverConfig(0.1, 1.0, 1e10, 1)  # no corrector sweeps to set
 
     def test_grid_is_the_spanning_grid(self):
         assert SolverConfig(1e-3, 0.3).grid == TimeGrid.spanning(1e-3, 0.3)
@@ -118,39 +152,81 @@ class TestConfig:
         assert capped(5.0) == 16.0
         with pytest.raises(ValueError):
             Nonlinearity.capped_square(0.0)
+        with pytest.raises(ValueError):
+            Nonlinearity(b=math.nan)
+        with pytest.raises(ValueError):
+            Nonlinearity(a=-1.0, cap=4.0)
+        decay = Nonlinearity(a=0.0, b=-1.0)
+        assert decay(3.0) == -3.0
+        assert Nonlinearity(a=2.0, b=-1.0, k=0.5)(3.0) == 15.5
+
+    @settings(max_examples=200)
+    @given(
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(-2.0, 0.0),
+        k=st.floats(-2.0, 2.0),
+        cap=st.sampled_from([math.inf, 4.0, 30.0]),
+        A=st.floats(-50.0, 50.0),
+        c=st.floats(1e-8, 0.5),
+    )
+    def test_corrector_root_solves_its_equation(self, a, b, k, cap, A, c):
+        # the root, where there is one, solves v = A + c f(v) to roundoff and
+        # is the branch through A: it tends to A as c -> 0
+        assume(cap == math.inf or a >= 0.0)  # a cap needs a >= 0
+        f = Nonlinearity(a, b, k, cap)
+        v = f.corrector(c)(A)
+        if v is None:  # no real root: the quadratic's discriminant is negative
+            assert cap == math.inf
+            x = (A + c * k) / (1.0 - c * b)
+            assert 1.0 - 4.0 * c * a / (1.0 - c * b) * x < 1e-12
+            return
+        scale = abs(A) + c * (abs(a) * v * v + abs(b * v) + abs(k) + (cap * cap if cap < math.inf else 0.0)) + 1.0
+        assert abs(v - (A + c * f(v))) <= 1e-12 * scale
+        small = f.corrector(c * 1e-9)(A)
+        assert small is not None and abs(small - A) <= 1e-6 * (abs(A) + 1.0)
+
+    def test_square_root_is_the_cancellation_free_form(self):
+        # f = v^2: v = 2A / (1 + sqrt(1 - 4cA)); no real root past 4cA = 1
+        root = SQUARE.corrector(0.01)
+        assert root(20.0) == 40.0 / (1.0 + math.sqrt(0.2))
+        assert root(25.0) == 50.0 and root(25.000001) is None
+        capped = Nonlinearity.capped_square(4.0).corrector(0.01)
+        assert capped(3.0) == 6.0 / (1.0 + math.sqrt(0.88))  # 3.1 below the cap
+        assert capped(25.0) == 25.0 + 0.01 * 16.0  # no uncapped root: past the cap
 
     @given(cap=st.floats(min_value=0.0, exclude_min=True), data=st.data())
     def test_capped_square_has_the_bits_of_min(self, cap, data):
         # on every float, NaN and the infinities included, as min(r^2, cap^2) gives it
         special = [0.0, -0.0, 5e-324, -5e-324, cap, -cap, math.inf, -math.inf, math.nan]
         r = data.draw(st.sampled_from(special) | st.floats())
-        got = Nonlinearity.capped_square(cap).fn(r)
+        got = Nonlinearity.capped_square(cap)(r)
         assert struct.pack("<d", got) == struct.pack("<d", min(r * r, cap * cap))
 
 
 class TestSolve:
     def test_zero_forcing_is_constant(self):
         for alpha in (0.3, 0.8, 1.0):
-            traj = solve(Nonlinearity(lambda r: 0.0), 3.0, FractionalOrder(alpha), SolverConfig(0.01, 1.0))
+            traj = solve(Nonlinearity(a=0.0), 3.0, FractionalOrder(alpha), SolverConfig(0.01, 1.0))
             assert traj.status == "completed"
             assert np.all(traj.values == 3.0)
-
-    def test_predictor_only_mode(self):
-        # corrector_sweeps = 0 marches on the rectangle rule alone; it still
-        # tracks the solution, just less accurately than one corrector pass
-        order = FractionalOrder(0.5)
-        pred = solve(SQUARE, 1.0, order, SolverConfig(1e-3, 0.1, corrector_sweeps=0))
-        corr = solve(SQUARE, 1.0, order, SolverConfig(1e-3, 0.1, corrector_sweeps=1))
-        fine = solve(SQUARE, 1.0, order, SolverConfig(1e-5, 0.1, corrector_sweeps=1))
-        ref = fine.values[-1]
-        assert abs(pred.values[-1] - ref) > abs(corr.values[-1] - ref)
-        assert abs(pred.values[-1] - ref) < 0.05 * ref
 
     def test_classical_explicit_solution(self):
         # v(t) = 1/(1 - t) solves the alpha = 1 problem; check v(0.5) = 2
         traj = solve(SQUARE, 1.0, FractionalOrder(1.0), SolverConfig(1e-3, 0.5))
         assert traj.status == "completed"
         assert traj.values[-1] == pytest.approx(2.0, rel=1e-2)
+
+    def test_classical_step_is_the_implicit_trapezoid_rule(self):
+        # each step solves v_{n+1} = v_n + (h/2) (f(v_n) + f(v_{n+1})) to roundoff,
+        # and the march stops at the first step with no root, keeping no value
+        h = 1e-2
+        traj = solve(SQUARE, 1.0, FractionalOrder(1.0), SolverConfig(h, 1.7))
+        v = traj.values
+        assert np.max(np.abs(v[1:] - v[:-1] - 0.5 * h * (v[:-1] ** 2 + v[1:] ** 2)) / v[1:]) <= 1e-14
+        assert traj.status == "escaped" and traj.escape_index == len(v)
+        assert 1.0 - 2.0 * h * (v[-1] + 0.5 * h * v[-1] ** 2) < 0.0  # 1 - 4cA < 0 at c = h/2
+        # the root is lost at exactly T - h
+        assert traj.escape_time == pytest.approx(1.0 - h, abs=1e-12)
 
     def test_supersolution_comparison_alpha_half(self):
         # v stays above w(t) = b/(b - t) with b = upper_bound_b(1/2) = 4/pi
@@ -206,12 +282,12 @@ class TestSolve:
         assert abs(frac.values[-1] - classical.values[-1]) <= 5e-2
 
     def test_volterra_residual(self):
-        # with enough corrector sweeps the marching sits on the fixed point of
-        # the product-trapezoid Volterra discretization (independent path)
+        # the march solves the product-trapezoid Volterra discretization, which
+        # the residual evaluates on an independent path, to roundoff
         order = FractionalOrder(0.6)
-        traj = solve(SQUARE, 1.0, order, SolverConfig(1e-3, 0.15, corrector_sweeps=12))
+        traj = solve(SQUARE, 1.0, order, SolverConfig(1e-3, 0.15))
         assert traj.status == "completed"
-        assert volterra_residual(traj, SQUARE, order) <= 1e-10
+        assert volterra_residual(traj, SQUARE, order) <= 1e-13 * np.max(traj.values)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6])
     def test_volterra_residual_across_fft_levels(self, alpha):
@@ -221,7 +297,7 @@ class TestSolve:
         n_steps = 5 * frac_ops._BLOCK
         horizon = {0.3: 0.01, 0.6: 0.1}[alpha]  # well before blow-up
         order = FractionalOrder(alpha)
-        traj = solve(SQUARE, 1.0, order, SolverConfig(horizon / n_steps, horizon, corrector_sweeps=12))
+        traj = solve(SQUARE, 1.0, order, SolverConfig(horizon / n_steps, horizon))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
         assert volterra_residual(traj, SQUARE, order) <= 1e-13 * np.max(traj.values)
 
@@ -230,21 +306,46 @@ class TestSolve:
     # coarse steps, about half the blow-up time (0.023 at alpha = 0.3, 0.46 at 0.7)
     @pytest.mark.parametrize("alpha, coarse_step", [(0.3, 5e-5), (0.7, 1e-3)])
     # v0 = 0.6 makes f(v0) = 0.36 differ from f(v0)^2 and from 1
-    @pytest.mark.parametrize(
-        "sweeps, v0",
-        [pytest.param(sweeps, 1.0, id=f"{sweeps}") for sweeps in (1, 3)]
-        + [pytest.param(sweeps, 0.6, id=f"{sweeps}-v0.6") for sweeps in (1, 3)],
-    )
-    def test_matches_direct_scheme(self, alpha, coarse_step, sweeps, v0):
+    @pytest.mark.parametrize("v0", [1.0, 0.6], ids=["v1", "v0.6"])
+    def test_matches_direct_scheme(self, alpha, coarse_step, v0):
         # the blocked memory sums over f(v_j) - f(v_0) plus the closed-form
         # weight sums on f(v_0) reproduce the scheme evaluated term by term,
-        # left-boundary weight included; only the summation order differs
+        # left-boundary weight included; only the summation order and the
+        # form of the root differ
         n_steps = 4 * frac_ops._BLOCK
         h = 200 * coarse_step / n_steps
-        traj = solve(SQUARE, v0, FractionalOrder(alpha), SolverConfig(h, n_steps * h, corrector_sweeps=sweeps))
+        traj = solve(SQUARE, v0, FractionalOrder(alpha), SolverConfig(h, n_steps * h))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
-        ref = _pece_direct(alpha, h, n_steps, sweeps, v0)
+        ref, escape = _direct_scheme(alpha, h, n_steps, v0)
+        assert escape is None
         assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
+
+    # the exact march against the PECE's direct form at 40 sweeps, which
+    # converge to the same root where 2cv, the sweep's contraction, is small;
+    # near root loss they stop converging, so there the escapes are compared
+    @settings(max_examples=20, deadline=None)
+    @given(
+        alpha=st.floats(0.2, 0.95),
+        per_bound=st.integers(30, 80),
+        cap=st.sampled_from([math.inf, 4.0, 12.0]),
+    )
+    def test_agrees_with_the_forty_sweep_pece_where_sweeps_converge(self, alpha, per_bound, cap):
+        # steps of T_cmp / per_bound up to 4.5 T_cmp, past the blow-up time (T < 4 T_cmp)
+        order = FractionalOrder(alpha)
+        h = comparison_lower_bound(order) / per_bound
+        n_steps = round(4.5 * per_bound)
+        f = Nonlinearity.capped_square(cap) if cap < math.inf else SQUARE
+        traj = solve(f, 1.0, order, SolverConfig(h, n_steps * h))
+        pece, pece_escape = _direct_scheme(alpha, h, n_steps, cap=cap, sweeps=40)
+        c = h ** alpha / math.gamma(alpha + 2.0)
+        n = min(len(traj.values), len(pece))
+        settled = traj.values[:n] < 0.25 / c
+        assert settled.sum() >= 10
+        assert np.max(np.abs(traj.values[:n][settled] / pece[:n][settled] - 1.0)) <= 1e-12
+        if cap < math.inf:
+            assert traj.status == "completed" and pece_escape is None
+        else:
+            assert abs(traj.escape_index - pece_escape) <= 1
 
     # marches that end just before, on and just past the first two base
     # blocks of the memory sum's block walk, over about 40% of the blow-up time
@@ -254,7 +355,7 @@ class TestSolve:
         h = horizon / n_steps
         traj = solve(SQUARE, 1.0, FractionalOrder(alpha), SolverConfig(h, horizon))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
-        ref = _pece_direct(alpha, h, n_steps, 1)
+        ref, _ = _direct_scheme(alpha, h, n_steps)
         assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
 
     @staticmethod
@@ -262,7 +363,7 @@ class TestSolve:
         """A march at alpha 0.7 with its threshold set to escape at target `escape`."""
         alpha = 0.7
         h = 0.4 / n_steps
-        ref = _pece_direct(alpha, h, n_steps, 1)
+        ref, _ = _direct_scheme(alpha, h, n_steps)
         x = 0.5 * (ref[escape - 1] + ref[escape])  # v rises: ref first exceeds x at `escape`
         assert int(np.flatnonzero(ref > x)[0]) == escape
         order = FractionalOrder(alpha)
@@ -297,24 +398,24 @@ class TestSolve:
         traj = solve(SQUARE, 1.0, order, SolverConfig(h, n_steps * h))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
         assert (n_steps + 1) % B % 4 != 0  # the march reads targets 0..n_steps
-        ref = _pece_direct(alpha, h, n_steps, 1)
+        ref, _ = _direct_scheme(alpha, h, n_steps)
         assert np.max(np.abs(traj.values - ref) / ref) <= 1e-13
         full = solve(SQUARE, 1.0, order, SolverConfig(h, (2 * B + 8) * h))
         assert traj.values.tobytes() == full.values[: n_steps + 1].tobytes()
 
     def test_tables_follow_the_march_not_the_horizon(self, monkeypatch):
-        # alpha = 0.3 escapes after 228 of the 17000 steps to the horizon
+        # alpha = 0.3 escapes after 220 of the 17000 steps to the horizon
         # and reaches block level 0 only: lags up to 2B - 1 = 255
         sizes = []
-        original = frac_ops._power_increments
+        original = frac_ops._pt_weights
 
-        def recording(p, count):
+        def recording(alpha, count):
             sizes.append(count)
-            return original(p, count)
+            return original(alpha, count)
 
-        monkeypatch.setattr(frac_ops, "_power_increments", recording)
+        monkeypatch.setattr(frac_ops, "_pt_weights", recording)
         traj = solve(SQUARE, 1.0, FractionalOrder(0.3), SolverConfig(1e-4, 1.7))
-        assert traj.escape_index == 228
+        assert traj.escape_index == 220
         assert max(sizes) <= 255
 
     def test_escape_semantics(self):
@@ -333,18 +434,19 @@ class TestSolve:
         horizon=st.floats(0.05, 1.7),
         low_exp=st.floats(0.1, 8.0),
         gap_exp=st.floats(0.1, 6.0),
-        sweeps=st.integers(0, 2),
     )
-    def test_escape_index_read_from_larger_threshold(self, alpha, step, horizon, low_exp, gap_exp, sweeps):
+    def test_escape_index_read_from_larger_threshold(self, alpha, step, horizon, low_exp, gap_exp):
         # the threshold only decides where a march stops: a march at x < X
-        # stops exactly at the first node of the X trajectory with |v| > x
+        # stops exactly at the first node of the X trajectory with |v| > x,
+        # and both end alike where none passes x (completed, or at root loss)
         x, big = 10.0 ** low_exp, 10.0 ** (low_exp + gap_exp)
         order = FractionalOrder(alpha)
-        at_x = solve(SQUARE, 1.0, order, SolverConfig(step, horizon, x, sweeps))
-        at_big = solve(SQUARE, 1.0, order, SolverConfig(step, horizon, big, sweeps))
+        step = _seed_step(order, step)  # the first step has a root
+        at_x = solve(SQUARE, 1.0, order, SolverConfig(step, horizon, x))
+        at_big = solve(SQUARE, 1.0, order, SolverConfig(step, horizon, big))
         above = np.flatnonzero(np.abs(at_big.values) > x)
         if above.size == 0:
-            assert at_big.status == "completed" and at_x.status == "completed"
+            assert at_x.escape_index == at_big.escape_index
             assert np.array_equal(at_x.values, at_big.values)
         else:
             idx = int(above[0])
@@ -365,15 +467,12 @@ class TestMittagLeffler:
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(0.1, 0.99))
     def test_order_at_t_one(self, alpha):
-        # near enough the corrector's fixed point, the march has the order 1 + alpha of
+        # solving its corrector exactly, the march has the order 1 + alpha of
         # product integration at a fixed t > 0 (Diethelm, Ford & Freed 2004); at its
         # first nodes the error falls only like h^(2 alpha)
-        decay, order = Nonlinearity(lambda r: -r), FractionalOrder(alpha)
+        decay, order = Nonlinearity(a=0.0, b=-1.0), FractionalOrder(alpha)
         exact = _mittag_leffler_at_minus_one(alpha)
-        errors = [
-            abs(solve(decay, 1.0, order, SolverConfig(1.0 / n, 1.0, corrector_sweeps=40)).values[-1] - exact)
-            for n in (512, 2048)
-        ]
+        errors = [abs(solve(decay, 1.0, order, SolverConfig(1.0 / n, 1.0)).values[-1] - exact) for n in (512, 2048)]
         assert math.log(errors[0] / errors[1], 4) == pytest.approx(1.0 + alpha, abs=0.05)
 
 
@@ -422,7 +521,7 @@ class TestBlowupEstimate:
     def test_matches_one_solve_per_rung(self, alpha):
         # seed thresholds 1e10, a node value of the coarsest march and 1e300
         order = FractionalOrder(alpha)
-        coarsest = solve(SQUARE, 1.0, order, SolverConfig(8e-4, 1.7, 1e10))
+        coarsest = solve(SQUARE, 1.0, order, SolverConfig(_seed_step(order, 8e-4), 1.7, 1e10))
         for x in (1e10, float(coarsest.values[len(coarsest.values) // 2]), 1e300):
             seed = SolverConfig(8e-4, 1.7, escape_threshold=x)
             est = estimate_blowup(order, seed)
@@ -438,14 +537,14 @@ class TestBlowupEstimate:
         assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed, refinements=1)
 
     def test_overflow_escape_read_for_every_threshold(self):
-        # at threshold 1e300, v^2 overflows before any finite value exceeds it
-        # on the coarsest step, so that rung escapes one past its last finite
-        # node (the finest step passes 1e300 at a finite 8.5e303)
+        # at threshold 1e300 every rung escapes at a step with no finite value,
+        # here the first step with no corrector root, one past its last node
         order = FractionalOrder(0.5)
         seed = SolverConfig(8e-4, 1.7, escape_threshold=1e300)
         est = estimate_blowup(order, seed)
-        overflowed = solve(SQUARE, 1.0, order, seed)
-        assert est.rungs[0].steps == overflowed.escape_index == len(overflowed.values)
+        lost = solve(SQUARE, 1.0, order, seed)
+        assert est.rungs[0].steps == lost.escape_index == len(lost.values)
+        assert np.max(lost.values) < 1e3
         assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
 
     @pytest.mark.parametrize("refinements", [1, 3])
@@ -493,7 +592,7 @@ class TestBlowupEstimate:
         configs = [SolverConfig(1e-3, 1.5), SolverConfig(2.5e-4, 1.5)]
         if order_of_rungs == "fine first":
             configs.reverse()
-        tables = frac_ops.LagTables.predictor_corrector(alpha)
+        tables = frac_ops.LagTables.product_trapezoid(alpha)
         for config in configs:
             shared = solve(capped, 1.0, order, config, _tables=tables)
             fresh = solve(capped, 1.0, order, config)
@@ -507,7 +606,7 @@ class TestBlowupEstimate:
         order = FractionalOrder(alpha)
         est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
         assert est.rungs[0].steps % B not in (0, B - 1)
-        tables = frac_ops.LagTables.predictor_corrector(alpha)
+        tables = frac_ops.LagTables.product_trapezoid(alpha)
         for rung in est.rungs:
             config = SolverConfig(rung.step, 1.7, est.threshold)
             shared = solve(SQUARE, 1.0, order, config, _tables=tables)
@@ -520,7 +619,7 @@ class TestBlowupEstimate:
         def refuse(alpha):
             raise AssertionError("weight tables built at alpha = 1")
 
-        monkeypatch.setattr(frac_ops.LagTables, "predictor_corrector", refuse)
+        monkeypatch.setattr(frac_ops.LagTables, "product_trapezoid", refuse)
         est = estimate_blowup(FractionalOrder(1.0), SolverConfig(8e-4, 1.7))
         assert est.t_lo <= 1.0 <= est.t_hi
 
@@ -538,10 +637,10 @@ class TestBlowupEstimate:
         assert est.refinement_trace == [(r.step, est.threshold, r.steps * r.step) for r in est.rungs]
 
     def test_partial_trace_names_first_missing_rung(self):
-        # the coarsest march passes 1e10 after 227 steps, beyond the horizon
-        # of 225, so the ladder stops at its first rung with an empty trace
+        # the coarsest march loses its root at step 220, beyond the horizon
+        # of 215, so the ladder stops at its first rung with an empty trace
         order = FractionalOrder(0.5)
-        seed = SolverConfig(8e-4, 225 * 8e-4, escape_threshold=1e10)
+        seed = SolverConfig(8e-4, 215 * 8e-4, escape_threshold=1e10)
         with pytest.raises(NoBlowupDetected, match=r"threshold 1e\+10\)") as got:
             estimate_blowup(order, seed, refinements=1)
         with pytest.raises(NoBlowupDetected) as want:
@@ -550,24 +649,29 @@ class TestBlowupEstimate:
         assert got.value.trace == want.value.trace == []
 
     def test_ladder_does_not_scale_with_the_horizon(self):
-        # alpha = 0.1 blows up at 1.4e-6: the march at seed 1e-9 escapes after
-        # about 1e4 steps, however far the horizon lies
+        # alpha = 0.1 blows up at 1.4e-6: the march at seed 1e-9, below the
+        # seed cap, escapes after about 1e4 steps, however far the horizon lies
         order = FractionalOrder(0.1)
         far = estimate_blowup(order, SolverConfig(1e-9, 1.7, escape_threshold=1e10))
         near = estimate_blowup(order, SolverConfig(1e-9, 1e-4, escape_threshold=1e10))
+        assert far.rungs[0].step == 1e-9
         assert (far.t_lo, far.t_hi, far.refinement_trace) == (near.t_lo, near.t_hi, near.refinement_trace)
-        # the bracket itself sits one step quantum high (ROADMAP Known defect 1)
-        assert (far.t_lo, far.t_hi) == pytest.approx((1.397375e-6, 1.400375e-6), rel=1e-12)
+        assert (far.t_lo, far.t_hi) == pytest.approx((1.397e-6, 1.397375e-6), rel=1e-12)  # was (1.397375e-6, 1.400375e-6)
 
     # the CLI's ladder at the acceptance alphas: a change of summation order
-    # that moves an escape index or a bracket fails here
+    # that moves an escape index or a bracket fails here. Re-pinned with the
+    # exact corrector, the seed cap (alpha 0.3 takes it) and the bracket
+    # [e - h, e + 2h]; the PECE ladder read [35, 62, 118, 228]
+    # (0.021900000000000003, 0.0229), [226, 446, 887, 1768] (0.1761, 0.1769),
+    # [577, 1151, 2297, 4591] (0.4587, 0.4592) and [1016, 2030, 4056, 8109]
+    # (0.8105000000000001, 0.811)
     @pytest.mark.parametrize(
         "alpha, steps, bracket",
         [
-            (0.3, [35, 62, 118, 228], (0.021900000000000003, 0.0229)),
-            (0.5, [226, 446, 887, 1768], (0.17610000000000003, 0.1769)),
-            (0.7, [577, 1151, 2297, 4591], (0.4587, 0.4592)),
-            (0.9, [1016, 2030, 4056, 8109], (0.8105000000000001, 0.811)),
+            (0.3, [40, 80, 160, 320], (0.02189399270938726, 0.022099892327343877)),
+            (0.5, [220, 440, 880, 1762], (0.1761, 0.1764)),
+            (0.7, [572, 1146, 2292, 4586], (0.4585, 0.4588)),
+            (0.9, [1012, 2025, 4052, 8105], (0.8104, 0.8107)),
         ],
     )
     def test_pinned_escape_indices(self, alpha, steps, bracket):
@@ -597,3 +701,73 @@ class TestBlowupEstimate:
         # the message names the derived rung, not only the step the caller never passed
         assert f"seed step {step!r}" in str(err.value)
         assert f"refinements {refinements}" in str(err.value)
+
+    def test_seed_is_capped_by_the_comparison_bound(self):
+        # below alpha ~ 0.33 the default seed 8e-4 is above 2^3 T_cmp / 100, so the
+        # ladder marches from the cap: its finest rung takes at least ~100 steps
+        for alpha in (0.01, 0.1, 0.3):
+            order = FractionalOrder(alpha)
+            est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+            assert est.rungs[0].step == math.ldexp(comparison_lower_bound(order) / fode.SEED_STEPS, 3) < 8e-4
+            assert est.rungs[-1].steps >= fode.SEED_STEPS
+        # above it the seed stays the caller's, the largest the ladder takes
+        assert estimate_blowup(FractionalOrder(0.5), SolverConfig(8e-4, 1.7)).rungs[0].step == 8e-4
+
+    def test_underflowing_comparison_bound_is_refused_naming_alpha(self, monkeypatch):
+        monkeypatch.setattr(fode, "solve", lambda *args, **kwargs: pytest.fail("a rung was marched"))
+        with pytest.raises(ValueError, match="alpha 0.0015"):
+            estimate_blowup(FractionalOrder(0.0015), SolverConfig(8e-4, 1.7))
+
+
+def _rungs(steps, finest):
+    """RungRecords of a ladder with these escape indices, coarsest first, halving down to `finest`."""
+    n = len(steps)
+    return [fode.RungRecord(math.ldexp(finest, n - 1 - i), s, 0.0) for i, s in enumerate(steps)]
+
+
+class TestBracket:
+    @settings(max_examples=200)
+    @given(
+        T=st.floats(1e-60, 2.0),
+        per_step=st.floats(50.0, 2e4),
+        picks=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    )
+    def test_contains_the_blow_up_time_of_the_offset_model(self, T, per_step, picks):
+        # rung i escapes at e_i = T + o_i h_i with o_i in [-1.60, 0.32], the offsets
+        # measured against 100x finer marches; e_i is a whole number of steps, so
+        # each rung takes one of the (one or two) step counts in that window
+        finest = T / per_step
+        steps = []
+        for i, pick in enumerate(picks):
+            h = math.ldexp(finest, 3 - i)
+            lo, hi = math.ceil(T / h - 1.6), math.floor(T / h + 0.32)
+            assume(lo <= hi)
+            steps.append(min(lo + pick, hi))
+        rungs = _rungs(steps, finest)
+        t_lo, t_hi = fode._bracket(rungs)
+        assert t_lo <= T <= t_hi
+        assert t_hi - t_lo == pytest.approx(3.0 * finest, rel=1e-12)
+
+    # e_prev - e_fine of -5 h_fine and +4 h_fine, and a finest rung that
+    # escapes at its first step
+    @pytest.mark.parametrize("steps", [[100, 205], [100, 196], [1, 1]])
+    def test_gate_refuses_rungs_that_disagree(self, steps):
+        with pytest.raises(UnderResolvedLadder, match="under-resolved"):
+            fode._bracket(_rungs(steps, 1e-3))
+
+    # -4 and +3 finest steps apart: the edges of the band
+    @pytest.mark.parametrize("steps", [[100, 204], [100, 197]])
+    def test_gate_band_edges_pass(self, steps):
+        t_lo, t_hi = fode._bracket(_rungs(steps, 1e-3))
+        assert (t_lo, t_hi) == pytest.approx(((steps[1] - 1) * 1e-3, (steps[1] + 2) * 1e-3), rel=1e-15)
+
+    # the six alphas at which the PECE ladder's bracket excluded the blow-up
+    # time, and three below 0.2241, where its finest rung took under 50 steps;
+    # each default bracket contains the escape of a march 100x finer
+    @pytest.mark.parametrize("alpha", [0.225, 0.45, 0.525, 0.625, 0.7, 0.975, 0.05, 0.1, 0.2])
+    def test_contains_the_escape_of_a_march_100x_finer(self, alpha):
+        order = FractionalOrder(alpha)
+        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        fine = solve(SQUARE, 1.0, order, SolverConfig(est.rungs[-1].step / 100.0, 1.7))
+        assert fine.status == "escaped" and fine.escape_index == len(fine.values)  # at root loss
+        assert est.t_lo <= fine.escape_time <= est.t_hi

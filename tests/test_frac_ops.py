@@ -400,7 +400,7 @@ B = frac_ops._BLOCK
 
 def _direct_lagged_sum(table, g, n):
     """s_n = sum_{k=1}^{n} w_k g_{n-k} as one dot, and the same sum of |w_k| |g_{n-k}|."""
-    lags = table[..., :n][..., ::-1]  # w_n..w_1 against g_0..g_{n-1}
+    lags = table[:n][::-1]  # w_n..w_1 against g_0..g_{n-1}
     return np.dot(lags, g[:n]), np.dot(np.abs(lags), np.abs(g[:n]))
 
 
@@ -410,16 +410,14 @@ def _walk(memory, g):
     The walk stops at target len(g) or at the capacity, whichever comes
     first. It reads the group layout the way the marches do: a target
     n = b0 + r with r divisible by 4 takes its near sum from the group
-    product near[r // 4] . history[b0:n], whose part i holds the near sum of
+    product near[r // 4] . history[b0:n], whose row i holds the near sum of
     target n + i less its lags 1..i; target n + i adds those lags,
     w_i g_n + ... + w_1 g_{n+i-1}, once its group's entries are written. A
-    scalar history sums Python floats, one per weight row, as fode does; a
-    row history sums ndarrays, as pde does, of shape (*rows, *shape) for the
-    weight rows of the tables, with the lags as one product. The far sum
+    scalar history sums Python floats, as fode does; a row history sums
+    ndarrays, as pde does, with the lags as one product. The far sum
     recorded is the buffer's, read before g_n overwrites it.
     """
     tables = memory._tables
-    inner = np.reshape(tables.inner, (-1, 3))  # w_1, w_2, w_3 per weight row
     walked = []
     for b0, far, history in memory.blocks():
         scalar = isinstance(far, list)
@@ -428,27 +426,19 @@ def _walk(memory, g):
             i = r % 4
             if i == 0:
                 group = tables.near[r // 4].dot(history[b0:n])
-                parts = group.reshape(4, -1).tolist() if scalar else group.reshape(4, *far.shape[1:])
+                parts = group.tolist() if scalar else group
                 near_sum = parts[0]
             elif scalar:
                 entries = history[n - i : n].tolist()  # g_{n-i}..g_{n-1}
-                near_sum = []
-                for x, w in zip(parts[i], inner.tolist()):
-                    lags = w[i - 1 :: -1]  # w_i..w_1
-                    term = lags[0] * entries[0]
-                    for wk, e in zip(lags[1:], entries[1:]):
-                        term += wk * e
-                    near_sum.append(x + term)
+                lags = tables.inner[i - 1 :: -1]  # w_i..w_1
+                term = lags[0] * entries[0]
+                for wk, e in zip(lags[1:], entries[1:]):
+                    term += wk * e
+                near_sum = parts[i] + term
             else:
-                lags = np.reshape(inner[:, i - 1 :: -1], (*tables.rows, i))
-                near_sum = parts[i] + np.dot(lags, history[n - i : n])
-            if scalar:
-                s = [x + y for x, y in zip(far[r] if tables.rows else [far[r]], near_sum)]
-                s = s if tables.rows else s[0]
-                near_sum = np.reshape(near_sum, tables.rows)
-            else:
-                s = far[r] + near_sum
-            walked.append((s, memory._far[n].copy(), near_sum))
+                near_sum = parts[i] + np.dot(tables.inner[i - 1 :: -1], history[n - i : n])
+            s = far[r] + near_sum
+            walked.append((s, memory._history[n].copy(), near_sum))
             if n == len(g):
                 return walked
             history[n] = g[n]
@@ -459,20 +449,16 @@ class TestLaggedSum:
     # the blocked-FFT sum against the direct dot at every n: the reordering
     # is exact, so only roundoff separates the two
     @pytest.mark.parametrize("capacity", [1, B - 1, B, B + 1, 5 * B + 3, 4096 + 17])
-    @pytest.mark.parametrize("kind", ["scalar", "rows", "two weight rows"])
+    @pytest.mark.parametrize("kind", ["scalar", "rows"])
     def test_matches_direct_dot(self, capacity, kind):
         rng = np.random.default_rng(capacity)
-        if kind == "two weight rows":  # the fode predictor and corrector rows
-            def weights(m):
-                return np.stack((frac_ops._power_increments(0.37, m), frac_ops._pt_weights(0.37, m)))
-            g, shape = rng.random(capacity), ()
-        elif kind == "rows":  # the pde L1 weights on rows of slice differences
+        if kind == "rows":  # the pde L1 weights on rows of slice differences
             def weights(m):
                 return frac_ops._power_increments(0.63, m + 1)[1:]
             g, shape = rng.standard_normal((capacity, 5)), (5,)
-        else:
+        else:  # the fode product-trapezoid weights on a scalar history
             def weights(m):
-                return frac_ops._power_increments(0.37, m)
+                return frac_ops._pt_weights(0.37, m)
             g, shape = rng.random(capacity), ()
         table = weights(capacity)
         tables = frac_ops.LagTables(weights)
@@ -485,11 +471,10 @@ class TestLaggedSum:
             if kind == "rows":
                 assert isinstance(got, np.ndarray)
             else:
-                # a scalar history sums to Python floats, one per weight row,
-                # with the bits of the far row plus the near sum as ndarrays
-                assert type(got) is float if kind == "scalar" else [type(x) for x in got] == [float, float]
-                bits = far + near
-                assert np.asarray(got).tobytes() == bits.tobytes()
+                # a scalar history sums to Python floats, with the bits of
+                # the far entry plus the near sum as ndarrays
+                assert type(got) is float
+                assert np.float64(got).tobytes() == (far + np.float64(near)).tobytes()
                 got = np.asarray(got)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -517,32 +502,30 @@ class TestLaggedSum:
         assert asked[-1] == longest
 
     @pytest.mark.parametrize(
-        "kind, direct", [("predictor_corrector", [True, False, False]), ("l1", [True, True, False])]
+        "kind, direct", [("product_trapezoid", [True, True, False]), ("l1", [True, True, False])]
     )
     def test_level_tables_hold_the_lags_of_their_targets(self, kind, direct):
-        # a level of R L^2 <= 2^16 weights (L = B for the two fode rows, B and
-        # 2B for the one pde row): a Toeplitz matrix whose row i R + r holds
-        # weight row r of target i after the block, w_{L+i-j} against entry j;
-        # beyond: the spectrum of w_1..w_{2L-1} padded with one zero
+        # a level of L^2 <= 2^16 weights (L = B and 2B): a Toeplitz matrix
+        # whose row i holds target i after the block, w_{L+i-j} against
+        # entry j; beyond: the spectrum of w_1..w_{2L-1} padded with one zero
         tables = getattr(frac_ops.LagTables, kind)(0.37)
         for level, is_direct in enumerate(direct):
             size = B << level
-            w = np.reshape(tables._weights(2 * size - 1), (-1, 2 * size - 1))  # column k - 1 holds w_k
+            w = tables._weights(2 * size - 1)  # index k - 1 holds w_k
             table = tables.level(level)
             if is_direct:
-                assert table.shape == (size * len(w), size) and table.flags.c_contiguous
+                assert table.shape == (size, size) and table.flags.c_contiguous
                 i, j = np.indices((size, size))
-                want = w[:, size + i - j - 1].transpose(1, 0, 2)  # (target, weight row, entry)
-                assert np.array_equal(table.reshape(size, len(w), size), want)
+                assert np.array_equal(table, w[size + i - j - 1])
             else:
-                assert np.array_equal(table, np.fft.rfft(w, 2 * size)[..., None])
+                assert np.array_equal(table, np.fft.rfft(w, 2 * size))
 
     # a capacity that ends inside the targets of a level-0, 1 or 2 block
     # adds only the first rows of that block's product or transform to the
     # far sums; every sum below it has the bits of a walk with room for all
     @pytest.mark.parametrize("short", [B + 37, 3 * B + 10, 5 * B + 21], ids=["level0", "level1", "level2"])
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "rows"])
-    @pytest.mark.parametrize("kind", ["predictor_corrector", "l1"])
+    @pytest.mark.parametrize("kind", ["product_trapezoid", "l1"])
     def test_sums_do_not_depend_on_the_capacity(self, kind, shape, short):
         rng = np.random.default_rng(short)
         g = rng.standard_normal((short, *shape))
@@ -553,31 +536,27 @@ class TestLaggedSum:
             sums.append(np.array([s for s, _, _ in walked[:short]]).tobytes())
         assert sums[0] == sums[1]
 
-    # a flush inverse-transforms every weight row at once while rows x
-    # columns x (L + 1) stays within _FFT_ENTRIES, one row at a time beyond;
-    # with the direct bound at 2B^2 weights the B level alone is a product for
-    # both weight kinds, and the 2B and 4B levels (L = 256, 512) take the FFT
-    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "rows"])
-    @pytest.mark.parametrize("kind", ["predictor_corrector", "l1"])
-    def test_far_sums_do_not_depend_on_the_rows_per_transform(self, monkeypatch, kind, shape):
-        monkeypatch.setattr(frac_ops, "_DIRECT_ENTRIES", 2 * B * B)
-        g = np.random.default_rng(5).standard_normal((5 * B, *shape))
+    # a flush transforms at most _FFT_ENTRIES complex entries of history
+    # columns at a time; with the direct bound at B^2 weights the B level
+    # alone is a product, and the 2B and 4B levels (L = 256, 512) take the FFT
+    def test_far_sums_do_not_depend_on_the_columns_per_transform(self, monkeypatch):
+        monkeypatch.setattr(frac_ops, "_DIRECT_ENTRIES", B * B)
+        g = np.random.default_rng(5).standard_normal((5 * B, 3))
         irfft = np.fft.irfft
-        rows = 2 if kind == "predictor_corrector" else 1
         fars = []
-        for entries, per_transform in ((1 << 30, rows), (1, 1)):  # every weight row at once, one at a time
+        for entries, per_transform in ((1 << 30, 3), (1, 1)):  # every column at once, one at a time
             seen = set()
 
             def spy(a, *args, **kwargs):
-                seen.add(len(a))  # the weight rows an inverse transform carries
+                seen.add(a.shape[1])  # the history columns an inverse transform carries
                 return irfft(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, "irfft", spy)
             monkeypatch.setattr(frac_ops, "_FFT_ENTRIES", entries)
-            tables = getattr(frac_ops.LagTables, kind)(0.37)
-            walked = _walk(frac_ops.LaggedSum(tables, 5 * B + 1, shape), g)
+            tables = frac_ops.LagTables.l1(0.37)
+            walked = _walk(frac_ops.LaggedSum(tables, 5 * B + 1, (3,)), g)
             assert seen == {per_transform}
-            assert [level.ndim for level in tables._levels] == [2, 3, 3]  # a matrix, then two spectra
+            assert [level.ndim for level in tables._levels] == [2, 1, 1]  # a matrix, then two spectra
             fars.append(np.array([far for _, far, _ in walked]).tobytes())
         assert fars[0] == fars[1]
 
@@ -600,7 +579,7 @@ class TestLaggedSum:
 
     @settings(max_examples=10)
     @given(
-        kind=st.sampled_from(["predictor_corrector", "l1"]),
+        kind=st.sampled_from(["product_trapezoid", "l1"]),
         alpha=st.floats(0.05, 0.95),
         lengths=st.lists(st.integers(1, 3000), min_size=1, max_size=4),
     )
@@ -608,7 +587,7 @@ class TestLaggedSum:
         # the fode weight kind on scalar histories, the pde one on rows: each
         # march reads levels the earlier ones added, or adds its own
         make = getattr(frac_ops.LagTables, kind)
-        shape = () if kind == "predictor_corrector" else (3,)
+        shape = () if kind == "product_trapezoid" else (3,)
         rng = np.random.default_rng(len(lengths))
         shared = make(alpha)
         for length in lengths:
@@ -619,34 +598,33 @@ class TestLaggedSum:
                 sums.append(np.array([s for s, _, _ in walked]).tobytes())
             assert sums[0] == sums[1]
 
-    @pytest.mark.parametrize("kind, rows", [("predictor_corrector", (2,)), ("l1", ())])
-    def test_near_pairs_hold_the_weights_of_their_targets(self, kind, rows):
-        # near[q] stacks the weight rows of targets 4q, 4q + 1, 4q + 2 and
+    @pytest.mark.parametrize("kind", ["product_trapezoid", "l1"])
+    def test_near_pairs_hold_the_weights_of_their_targets(self, kind):
+        # near[q] stacks the weights of targets 4q, 4q + 1, 4q + 2 and
         # 4q + 3, target 4q + i less its lags 1..i, against the 4q entries of
         # the block before target 4q; inner holds the missing w_1, w_2, w_3
         tables = getattr(frac_ops.LagTables, kind)(0.37)
-        assert tables.rows == rows
-        w = np.reshape(tables._weights(B - 1), (-1, B - 1))  # column k - 1 holds w_k
+        w = tables._weights(B - 1)  # index k - 1 holds w_k
         assert len(tables.near) == B // 4
         for q, group in enumerate(tables.near):
-            assert group.shape == (4 * len(w), 4 * q) and group.flags.c_contiguous
+            assert group.shape == (4, 4 * q) and group.flags.c_contiguous
             lags = 4 * q - np.arange(4 * q)  # lag of entry j of the block from target 4q
-            for i, part in enumerate(np.split(group, 4)):
-                assert np.array_equal(part, w[:, lags + i - 1])  # i lags more from target 4q + i
-        assert np.reshape(tables.inner, (-1, 3)).tolist() == w[:, :3].tolist()
+            for i, row in enumerate(group):
+                assert np.array_equal(row, w[lags + i - 1])  # i lags more from target 4q + i
+        assert tables.inner == w[:3].tolist()
 
-    @pytest.mark.parametrize("rows", [1, 2])
-    def test_buffers_grow_with_the_history_not_the_capacity(self, rows):
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_buffers_grow_with_the_history_not_the_capacity(self, columns):
         # doubling from B rows: 4B entries hold 8B rows, the far sums of the
         # targets the 4B block reaches; the capacity is only an upper limit
         def weights(m):
-            table = frac_ops._power_increments(0.5, m)
-            return np.stack([table] * rows) if rows > 1 else table
+            return frac_ops._power_increments(0.5, m)
 
-        memory = frac_ops.LaggedSum(frac_ops.LagTables(weights), 10 ** 9)
-        walked = _walk(memory, np.ones(4 * B))
-        assert len(memory._history) <= 8 * B and len(memory._far) <= 8 * B
-        want, _ = _direct_lagged_sum(weights(4 * B), np.ones(4 * B), 4 * B)
+        shape = () if columns == 1 else (columns,)  # a scalar history, or rows
+        memory = frac_ops.LaggedSum(frac_ops.LagTables(weights), 10 ** 9, shape)
+        walked = _walk(memory, np.ones((4 * B, *shape)))
+        assert len(memory._history) <= 8 * B
+        want, _ = _direct_lagged_sum(weights(4 * B), np.ones((4 * B, *shape)), 4 * B)
         assert np.allclose(walked[-1][0], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("capacity", [1, B - 1, B, B + 1, 2 * B, 2 * B + 1])
@@ -660,7 +638,7 @@ class TestLaggedSum:
             assert history is memory._history
             assert type(far) is (list if shape == () else np.ndarray)
             if shape:
-                assert not np.shares_memory(far, memory._far)
+                assert not np.shares_memory(far, memory._history)
             starts.append(b0)
             targets += len(far)
         assert starts == list(range(0, capacity, B))
