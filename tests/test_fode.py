@@ -34,13 +34,13 @@ SQUARE = Nonlinearity.square()
 B = frac_ops._BLOCK  # the base block of the memory sum's block walk
 
 
-def _direct_scheme(alpha, h, n_steps, v0=1.0, cap=math.inf, sweeps=None, threshold=1e10):
-    """The product-trapezoid scheme for v' = min(v^2, cap^2), weight by weight in a double loop.
+def _direct_scheme(alpha, h, n_steps, v0=1.0, cap=math.inf, sweeps=None, threshold=1e10, coef=1.0):
+    """The product-trapezoid scheme for v' = min(coef v^2, cap^2), weight by weight in a double loop.
 
     Returns the values kept and the escape index (None if the march
     completes). Each step solves its corrector equation v = A + c f(v),
     c = h^alpha / Gamma(alpha+2): by default exactly, as the smaller root of
-    c v^2 - v + A in 40 digits while that root is at most the cap, else
+    c coef v^2 - v + A in 40 digits while that root is at most the cap, else
     A + c cap^2; a step with no real root ends the march and keeps no value.
     With `sweeps`, the PECE of Diethelm, Ford & Freed instead: a
     product-rectangle predictor, then that many fixed-point sweeps of the
@@ -54,7 +54,7 @@ def _direct_scheme(alpha, h, n_steps, v0=1.0, cap=math.inf, sweeps=None, thresho
     cap2 = cap * cap
 
     def f(r):
-        return min(r * r, cap2)
+        return min(coef * r * r, cap2)
 
     with mp.workdps(40):
         a = mp.mpf(alpha)
@@ -71,8 +71,9 @@ def _direct_scheme(alpha, h, n_steps, v0=1.0, cap=math.inf, sweeps=None, thresho
         A = v0 + c_corr * hist
         if sweeps is None:
             with mp.workdps(40):
-                disc = 1 - 4 * mp.mpf(c_corr) * mp.mpf(A)
-                vn = float((1 - mp.sqrt(disc)) / (2 * mp.mpf(c_corr))) if disc >= 0 else math.inf
+                ca = mp.mpf(c_corr) * coef
+                disc = 1 - 4 * ca * mp.mpf(A)
+                vn = float((1 - mp.sqrt(disc)) / (2 * ca)) if disc >= 0 else math.inf
             if not vn * vn <= cap2:
                 vn = A + c_corr * cap2
             if not math.isfinite(vn):
@@ -305,18 +306,24 @@ class TestSolve:
     # 2B and 4B values reach later steps through FFTs) over the span of 200
     # coarse steps, about half the blow-up time (0.023 at alpha = 0.3, 0.46 at 0.7)
     @pytest.mark.parametrize("alpha, coarse_step", [(0.3, 5e-5), (0.7, 1e-3)])
-    # v0 = 0.6 makes f(v0) = 0.36 differ from f(v0)^2 and from 1
-    @pytest.mark.parametrize("v0", [1.0, 0.6], ids=["v1", "v0.6"])
-    def test_matches_direct_scheme(self, alpha, coarse_step, v0):
+    # v0 = 0.6 makes f(v0) = 0.36 differ from f(v0)^2 and from 1; f = a v^2
+    # at a = 3 puts the root's coefficient a to work: it is f = u^2 for
+    # u = a v, so it blows up a^(1/alpha) times sooner, and so does the span
+    @pytest.mark.parametrize(
+        "a, v0",
+        [pytest.param(float(a), 1.0, id=f"{a}") for a in (1, 3)]
+        + [pytest.param(float(a), 0.6, id=f"{a}-v0.6") for a in (1, 3)],
+    )
+    def test_matches_direct_scheme(self, alpha, coarse_step, a, v0):
         # the blocked memory sums over f(v_j) - f(v_0) plus the closed-form
         # weight sums on f(v_0) reproduce the scheme evaluated term by term,
         # left-boundary weight included; only the summation order and the
         # form of the root differ
         n_steps = 4 * frac_ops._BLOCK
-        h = 200 * coarse_step / n_steps
-        traj = solve(SQUARE, v0, FractionalOrder(alpha), SolverConfig(h, n_steps * h))
+        h = 200 * coarse_step / n_steps / a ** (1.0 / alpha)
+        traj = solve(Nonlinearity(a=a), v0, FractionalOrder(alpha), SolverConfig(h, n_steps * h))
         assert traj.status == "completed" and traj.values.size == n_steps + 1
-        ref, escape = _direct_scheme(alpha, h, n_steps, v0)
+        ref, escape = _direct_scheme(alpha, h, n_steps, v0, coef=a)
         assert escape is None
         assert np.max(np.abs(traj.values - ref) / np.abs(ref)) <= 1e-13
 

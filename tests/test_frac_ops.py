@@ -398,6 +398,17 @@ class TestBatchConvolution:
 B = frac_ops._BLOCK
 
 
+def _pece_rows(alpha):
+    """The two weight rows of the PECE of Diethelm, Ford & Freed, each on tables of its own.
+
+    The product-rectangle predictor's w_k = k^a - (k-1)^a and the
+    product-trapezoid corrector's: one LaggedSum carries one weight row, so
+    a march that wants both sums runs two.
+    """
+    predictor = frac_ops.LagTables(lambda m: frac_ops._power_increments(alpha, m))
+    return [predictor, frac_ops.LagTables.product_trapezoid(alpha)]
+
+
 def _direct_lagged_sum(table, g, n):
     """s_n = sum_{k=1}^{n} w_k g_{n-k} as one dot, and the same sum of |w_k| |g_{n-k}|."""
     lags = table[:n][::-1]  # w_n..w_1 against g_0..g_{n-1}
@@ -449,35 +460,33 @@ class TestLaggedSum:
     # the blocked-FFT sum against the direct dot at every n: the reordering
     # is exact, so only roundoff separates the two
     @pytest.mark.parametrize("capacity", [1, B - 1, B, B + 1, 5 * B + 3, 4096 + 17])
-    @pytest.mark.parametrize("kind", ["scalar", "rows"])
+    @pytest.mark.parametrize("kind", ["scalar", "rows", "two weight rows"])
     def test_matches_direct_dot(self, capacity, kind):
         rng = np.random.default_rng(capacity)
         if kind == "rows":  # the pde L1 weights on rows of slice differences
-            def weights(m):
-                return frac_ops._power_increments(0.63, m + 1)[1:]
+            rows = [frac_ops.LagTables.l1(0.37)]
             g, shape = rng.standard_normal((capacity, 5)), (5,)
-        else:  # the fode product-trapezoid weights on a scalar history
-            def weights(m):
-                return frac_ops._pt_weights(0.37, m)
+        else:  # the fode product-trapezoid weights, or the PECE's two rows, on a scalar history
+            rows = _pece_rows(0.37) if kind == "two weight rows" else [frac_ops.LagTables.product_trapezoid(0.37)]
             g, shape = rng.random(capacity), ()
-        table = weights(capacity)
-        tables = frac_ops.LagTables(weights)
-        memory = frac_ops.LaggedSum(tables, capacity + 1, shape)  # s_n for n <= capacity
-        walked = _walk(memory, g)
-        assert len(walked) == capacity + 1
-        assert np.all(np.asarray(walked[0][0]) == 0.0)
-        for n, (got, far, near) in enumerate(walked[1:], 1):
-            want, scale = _direct_lagged_sum(table, g, n)
-            if kind == "rows":
-                assert isinstance(got, np.ndarray)
-            else:
-                # a scalar history sums to Python floats, with the bits of
-                # the far entry plus the near sum as ndarrays
-                assert type(got) is float
-                assert np.float64(got).tobytes() == (far + np.float64(near)).tobytes()
-                got = np.asarray(got)
-            assert got.shape == want.shape
-            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        for tables in rows:
+            table = tables._weights(capacity)
+            memory = frac_ops.LaggedSum(tables, capacity + 1, shape)  # s_n for n <= capacity
+            walked = _walk(memory, g)
+            assert len(walked) == capacity + 1
+            assert np.all(np.asarray(walked[0][0]) == 0.0)
+            for n, (got, far, near) in enumerate(walked[1:], 1):
+                want, scale = _direct_lagged_sum(table, g, n)
+                if kind == "rows":
+                    assert isinstance(got, np.ndarray)
+                else:
+                    # a scalar history sums to Python floats, with the bits of
+                    # the far entry plus the near sum as ndarrays
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == (far + np.float64(near)).tobytes()
+                    got = np.asarray(got)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     @pytest.mark.parametrize(
         "capacity, appends, longest",
@@ -536,15 +545,19 @@ class TestLaggedSum:
             sums.append(np.array([s for s, _, _ in walked[:short]]).tobytes())
         assert sums[0] == sums[1]
 
-    # a flush transforms at most _FFT_ENTRIES complex entries of history
-    # columns at a time; with the direct bound at B^2 weights the B level
-    # alone is a product, and the 2B and 4B levels (L = 256, 512) take the FFT
-    def test_far_sums_do_not_depend_on_the_columns_per_transform(self, monkeypatch):
+    # a flush transforms at most _FFT_ENTRIES complex entries at a time, so
+    # the history columns go through it all at once or one at a time; with
+    # the direct bound at B^2 weights the B level alone is a product, and the
+    # 2B and 4B levels (L = 256, 512) take the FFT, for the pde's L1 row and
+    # for each of the PECE's two rows
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("kind", ["predictor_corrector", "l1"])
+    def test_far_sums_do_not_depend_on_the_rows_per_transform(self, monkeypatch, kind, shape):
         monkeypatch.setattr(frac_ops, "_DIRECT_ENTRIES", B * B)
-        g = np.random.default_rng(5).standard_normal((5 * B, 3))
+        g = np.random.default_rng(5).standard_normal((5 * B, *shape))
         irfft = np.fft.irfft
         fars = []
-        for entries, per_transform in ((1 << 30, 3), (1, 1)):  # every column at once, one at a time
+        for entries, per_transform in ((1 << 30, math.prod(shape)), (1, 1)):  # all columns at once, one at a time
             seen = set()
 
             def spy(a, *args, **kwargs):
@@ -553,11 +566,13 @@ class TestLaggedSum:
 
             monkeypatch.setattr(np.fft, "irfft", spy)
             monkeypatch.setattr(frac_ops, "_FFT_ENTRIES", entries)
-            tables = frac_ops.LagTables.l1(0.37)
-            walked = _walk(frac_ops.LaggedSum(tables, 5 * B + 1, (3,)), g)
+            walks = []
+            for tables in _pece_rows(0.37) if kind == "predictor_corrector" else [frac_ops.LagTables.l1(0.37)]:
+                walked = _walk(frac_ops.LaggedSum(tables, 5 * B + 1, shape), g)
+                assert [level.ndim for level in tables._levels] == [2, 1, 1]  # a matrix, then two spectra
+                walks.append(np.array([far for _, far, _ in walked]).tobytes())
             assert seen == {per_transform}
-            assert [level.ndim for level in tables._levels] == [2, 1, 1]  # a matrix, then two spectra
-            fars.append(np.array([far for _, far, _ in walked]).tobytes())
+            fars.append(walks)
         assert fars[0] == fars[1]
 
     @pytest.mark.parametrize("capacities", [(300, 3000), (3000, 300)])
