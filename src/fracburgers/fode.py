@@ -61,24 +61,23 @@ class UnderResolvedLadder(RuntimeError):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Right-hand side f(v) = min(a v^2 + b v + k, cap^2) of ^C D^alpha v = f(v).
+    """Right-hand side f(v) = min(a v^2 + b v, cap^2) of ^C D^alpha v = f(v).
 
     :meth:`square` is a = 1; the Mittag-Leffler oracle's decay f = -v is
     a = 0, b = -1. b <= 0, and a cap (cap = inf is none) needs a >= 0.
     """
 
     a: float = 1.0
-    b: float = 0.0
-    k: float = 0.0
+    b: float = -0.0  # a v + -0.0 is a v on every float, so square() has the bits of v * v at v = -0.0 too
     cap: float = math.inf
 
     def __post_init__(self) -> None:
         capped_ok = self.a >= 0.0 or self.cap == math.inf
-        if not (math.isfinite(self.a + self.k) and self.b <= 0.0 and self.cap > 0.0 and capped_ok):
-            raise ValueError(f"need finite a, k, b <= 0 and cap > 0, with a >= 0 under a cap; got {self!r}")
+        if not (math.isfinite(self.a) and self.b <= 0.0 and self.cap > 0.0 and capped_ok):
+            raise ValueError(f"need finite a, b <= 0 and cap > 0, with a >= 0 under a cap; got {self!r}")
 
     def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
-        r = (self.a * v + self.b) * v + self.k  # the bits of v * v at a = 1, b = k = 0, on every float
+        r = (self.a * v + self.b) * v
         cap2 = self.cap * self.cap
         if isinstance(r, np.ndarray):
             return np.minimum(r, cap2)
@@ -96,16 +95,16 @@ class Nonlinearity:
     def corrector(self, c: float) -> Callable[[float], float | None]:
         """The root of v = A + c f(v) as a function of A, or None where no real root exists.
 
-        With x = (A + ck)/(1 - cb) and g = ca/(1 - cb) it is v = x + g v^2, whose
+        With x = A/(1 - cb) and g = ca/(1 - cb) it is v = x + g v^2, whose
         root 2x / (1 + sqrt(1 - 4gx)) tends to A as c -> 0. A cap holds it to
         v <= A + c cap^2, where f(v) <= cap^2, and puts v = A + c cap^2 beyond.
         """
         scale = 1.0 / (1.0 - c * self.b)
-        shift, slope, ceiling = c * self.k, 4.0 * c * self.a * scale, c * (self.cap * self.cap)
+        slope, ceiling = 4.0 * c * self.a * scale, c * (self.cap * self.cap)
         sqrt, inf = math.sqrt, math.inf
 
         def root(A: float) -> float | None:
-            x = (A + shift) * scale
+            x = A * scale
             d = 1.0 - slope * x
             v = (x + x) / (1.0 + sqrt(d)) if d >= 0.0 else inf
             if v > A + ceiling:
@@ -278,7 +277,7 @@ def _solve_fractional(
     threshold = config.escape_threshold
     c = h ** alpha / gamma(alpha + 2.0)
     root = f.corrector(c)
-    a, b, k, cap2 = f.a, f.b, f.k, f.cap * f.cap  # f, evaluated inline as Nonlinearity.__call__ does
+    a, b, cap2 = f.a, f.b, f.cap * f.cap  # f, evaluated inline as Nonlinearity.__call__ does
 
     # The history holds f(v_j) - f(v_0); f(v_0) enters target n + 1 through the
     # weight sum on constants, (alpha+1) (n+1)^alpha less the weight 1 on
@@ -317,7 +316,7 @@ def _solve_fractional(
                     keep(vn)
                 return _finish(values, h, n + 1)
             keep(vn)
-            g = (a * vn + b) * vn + k  # f(vn)
+            g = (a * vn + b) * vn  # f(vn)
             if g > cap2:
                 g = cap2
             g -= f0

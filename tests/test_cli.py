@@ -187,6 +187,13 @@ class TestSolve:
         ])
         assert rc == 2
 
+    def test_first_step_without_a_root_exits_2(self, tmp_path, capsys):
+        # the step 1e-4 is longer than the blow-up time 1.4e-6 of alpha 0.1
+        rc = main(["solve", "--alpha", "0.1", "--h", "1e-4", "--t-max", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "first marching step has no finite value" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_manifest_rerun_reproduces_bytes(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -215,10 +222,8 @@ class TestBlowup:
         assert len(report["refinement_trace"]) == 4
 
     def test_ladder_marches_every_rung_at_1e10(self, capsys):
-        # at this alpha the PECE ladder's finest rung passed 1e10 after 50 steps
-        # of 1e-4, with the bracket (0.0040999999999999995, 0.0051); the ladder
-        # now marches from the capped seed, and its finest rung loses its root
-        # after 298 steps, well before any value reaches 1e10
+        # the ladder marches from the capped seed, and its finest rung loses its
+        # root after 298 steps, well before any value reaches 1e10
         rc, report = run_json(capsys, ["blowup", "--alpha", "0.2241144715294"])
         assert rc == 0
         assert [e["threshold"] for e in report["refinement_trace"]] == [1e10] * 4

@@ -159,29 +159,28 @@ class TestConfig:
             Nonlinearity(a=-1.0, cap=4.0)
         decay = Nonlinearity(a=0.0, b=-1.0)
         assert decay(3.0) == -3.0
-        assert Nonlinearity(a=2.0, b=-1.0, k=0.5)(3.0) == 15.5
+        assert Nonlinearity(a=2.0, b=-1.0)(3.0) == 15.0
 
     @settings(max_examples=200)
     @given(
         a=st.floats(-2.0, 2.0),
         b=st.floats(-2.0, 0.0),
-        k=st.floats(-2.0, 2.0),
         cap=st.sampled_from([math.inf, 4.0, 30.0]),
         A=st.floats(-50.0, 50.0),
         c=st.floats(1e-8, 0.5),
     )
-    def test_corrector_root_solves_its_equation(self, a, b, k, cap, A, c):
+    def test_corrector_root_solves_its_equation(self, a, b, cap, A, c):
         # the root, where there is one, solves v = A + c f(v) to roundoff and
         # is the branch through A: it tends to A as c -> 0
         assume(cap == math.inf or a >= 0.0)  # a cap needs a >= 0
-        f = Nonlinearity(a, b, k, cap)
+        f = Nonlinearity(a, b, cap)
         v = f.corrector(c)(A)
         if v is None:  # no real root: the quadratic's discriminant is negative
             assert cap == math.inf
-            x = (A + c * k) / (1.0 - c * b)
+            x = A / (1.0 - c * b)
             assert 1.0 - 4.0 * c * a / (1.0 - c * b) * x < 1e-12
             return
-        scale = abs(A) + c * (abs(a) * v * v + abs(b * v) + abs(k) + (cap * cap if cap < math.inf else 0.0)) + 1.0
+        scale = abs(A) + c * (abs(a) * v * v + abs(b * v) + (cap * cap if cap < math.inf else 0.0)) + 1.0
         assert abs(v - (A + c * f(v))) <= 1e-12 * scale
         small = f.corrector(c * 1e-9)(A)
         assert small is not None and abs(small - A) <= 1e-6 * (abs(A) + 1.0)
@@ -228,6 +227,13 @@ class TestSolve:
         assert 1.0 - 2.0 * h * (v[-1] + 0.5 * h * v[-1] ** 2) < 0.0  # 1 - 4cA < 0 at c = h/2
         # the root is lost at exactly T - h
         assert traj.escape_time == pytest.approx(1.0 - h, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, h", [(0.1, 1e-4), (0.5, 1.0), (1.0, 1.0)])
+    def test_first_step_without_a_root_is_refused(self, alpha, h):
+        # a step about as long as the blow-up time or longer leaves the first
+        # corrector equation without a real root, so the march keeps no step
+        with pytest.raises(ValueError, match="first marching step has no finite value"):
+            solve(SQUARE, 1.0, FractionalOrder(alpha), SolverConfig(h, 1.0))
 
     def test_supersolution_comparison_alpha_half(self):
         # v stays above w(t) = b/(b - t) with b = upper_bound_b(1/2) = 4/pi
@@ -663,15 +669,11 @@ class TestBlowupEstimate:
         near = estimate_blowup(order, SolverConfig(1e-9, 1e-4, escape_threshold=1e10))
         assert far.rungs[0].step == 1e-9
         assert (far.t_lo, far.t_hi, far.refinement_trace) == (near.t_lo, near.t_hi, near.refinement_trace)
-        assert (far.t_lo, far.t_hi) == pytest.approx((1.397e-6, 1.397375e-6), rel=1e-12)  # was (1.397375e-6, 1.400375e-6)
+        assert (far.t_lo, far.t_hi) == pytest.approx((1.397e-6, 1.397375e-6), rel=1e-12)
 
     # the CLI's ladder at the acceptance alphas: a change of summation order
-    # that moves an escape index or a bracket fails here. Re-pinned with the
-    # exact corrector, the seed cap (alpha 0.3 takes it) and the bracket
-    # [e - h, e + 2h]; the PECE ladder read [35, 62, 118, 228]
-    # (0.021900000000000003, 0.0229), [226, 446, 887, 1768] (0.1761, 0.1769),
-    # [577, 1151, 2297, 4591] (0.4587, 0.4592) and [1016, 2030, 4056, 8109]
-    # (0.8105000000000001, 0.811)
+    # that moves an escape index or a bracket fails here. Alpha 0.3 marches
+    # from the seed cap; the bracket is [e - h, e + 2h]
     @pytest.mark.parametrize(
         "alpha, steps, bracket",
         [
@@ -768,9 +770,8 @@ class TestBracket:
         t_lo, t_hi = fode._bracket(_rungs(steps, 1e-3))
         assert (t_lo, t_hi) == pytest.approx(((steps[1] - 1) * 1e-3, (steps[1] + 2) * 1e-3), rel=1e-15)
 
-    # the six alphas at which the PECE ladder's bracket excluded the blow-up
-    # time, and three below 0.2241, where its finest rung took under 50 steps;
-    # each default bracket contains the escape of a march 100x finer
+    # the six alphas of Known defect 1 and three below its edge 0.2241; each
+    # default bracket contains the escape of a march 100x finer
     @pytest.mark.parametrize("alpha", [0.225, 0.45, 0.525, 0.625, 0.7, 0.975, 0.05, 0.1, 0.2])
     def test_contains_the_escape_of_a_march_100x_finer(self, alpha):
         order = FractionalOrder(alpha)
