@@ -306,8 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="bracket the blow-up time, JSON report")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--refinements", type=int, default=3, help="number of step halvings (>= 1)")
-    p.add_argument("--step", type=float, default=8e-4, help="largest seed step of the ladder (see estimate_blowup)")
+    p.add_argument("--refinements", type=int, default=1,
+                   help="number of step halvings (>= 1); the bracket reads the last two rungs alone")
+    p.add_argument("--step", type=float, default=2e-4,
+                   help="largest seed step of the ladder, halved --refinements times (see estimate_blowup)")
     p.add_argument("--horizon", type=float, default=1.7)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="delta of the reported lower bound")
     p.set_defaults(func=_cmd_blowup)

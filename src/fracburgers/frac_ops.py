@@ -236,9 +236,9 @@ class LagTables:
         self._weights = weights
         table = weights(_BLOCK - 1)
         self.inner = table[:3].tolist()
-        lags = table[::-1]  # w_{B-1}..w_1: index B - 1 - k holds w_k
-        last = _BLOCK - 1
-        self.near = [np.stack([lags[last - 4 * q - i : last - i] for i in range(4)]) for q in range(_BLOCK // 4)]
+        # row i of the windows of w_{B-1}..w_1 is w_{B-4+i}..w_{i+1}; near[q] is its last 4q columns
+        rows = np.lib.stride_tricks.sliding_window_view(table[::-1], _BLOCK - 4)[::-1]
+        self.near = [np.ascontiguousarray(rows[:, _BLOCK - 4 - 4 * q :]) for q in range(_BLOCK // 4)]
         self._levels: list[np.ndarray] = []  # level l: its Toeplitz matrix or its spectrum
 
     @classmethod

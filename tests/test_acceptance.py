@@ -109,7 +109,7 @@ def test_c05_analytic_sandwich():
     lines = []
     for a in ALPHA_SET:
         order = FO(a)
-        est = estimate_blowup(order, SolverConfig(8e-4, 1.7, escape_threshold=1e10))  # finest rung 1e-4
+        est = estimate_blowup(order, SolverConfig(2e-4, 1.7, escape_threshold=1e10))  # finest rung 1e-4
         lo = lower_bound_T(order, 0.5)
         hi = upper_bound_b(order) + 0.01
         assert lo <= est.t_lo and est.t_hi <= hi, (a, est.t_lo, est.t_hi, lo, hi)

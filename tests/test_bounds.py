@@ -57,7 +57,7 @@ class TestComparisonLowerBound:
     def test_bound_is_below_the_marched_escape(self, alpha):
         # T_cmp <= T, and the ladder's bracket holds T: T_cmp lies below every escape
         order = FO(alpha)
-        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        est = estimate_blowup(order, SolverConfig(2e-4, 1.7))
         assert comparison_lower_bound(order) <= est.t_lo
         assert comparison_lower_bound(order) <= min(r.steps * r.step for r in est.rungs)
 

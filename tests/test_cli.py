@@ -219,14 +219,14 @@ class TestBlowup:
         assert report["t_lo"] <= 1.0 <= report["t_hi"]
         assert report["width"] <= 0.02
         assert report["sandwich"]["upper"] == 1.0
-        assert len(report["refinement_trace"]) == 4
+        assert len(report["refinement_trace"]) == 2  # the two rungs the bracket reads
 
     def test_ladder_marches_every_rung_at_1e10(self, capsys):
         # the ladder marches from the capped seed, and its finest rung loses its
         # root after 298 steps, well before any value reaches 1e10
         rc, report = run_json(capsys, ["blowup", "--alpha", "0.2241144715294"])
         assert rc == 0
-        assert [e["threshold"] for e in report["refinement_trace"]] == [1e10] * 4
+        assert [e["threshold"] for e in report["refinement_trace"]] == [1e10] * 2
         finest = report["refinement_trace"][-1]
         assert round(finest["escape_time"] / finest["step"]) == 298
         assert (report["t_lo"], report["t_hi"]) == (0.004056226777327431, 0.004097198764977204)
@@ -258,7 +258,7 @@ class TestBlowup:
     def test_library_ladder_is_the_cli_ladder(self, capsys, alpha):
         rc, report = run_json(capsys, ["blowup", "--alpha", alpha])
         assert rc == 0
-        est = estimate_blowup(FractionalOrder(float(alpha)), SolverConfig(8e-4, 1.7))
+        est = estimate_blowup(FractionalOrder(float(alpha)), SolverConfig(2e-4, 1.7))
         trace = [(e["step"], e["threshold"], e["escape_time"]) for e in report["refinement_trace"]]
         assert (report["t_lo"], report["t_hi"], trace) == (est.t_lo, est.t_hi, est.refinement_trace)
 
@@ -272,8 +272,9 @@ class TestBlowup:
         assert rc == 4
 
     @pytest.mark.parametrize("argv, rung", [
-        (["--step", "1e-323", "--horizon", "1e-300"], "ladder rung 2 (step 0.0"),  # the step halves to 0
-        (["--refinements", "1100"], "ladder rung 1013 (step 9.113902524445496e-309"),  # horizon / step overflows
+        # every rung is refused before any march: the step halves to 0, or horizon / step overflows
+        (["--step", "5e-324", "--horizon", "1e-300"], "ladder rung 1 (step 0.0"),
+        (["--refinements", "1100"], "ladder rung 1011 (step 9.113902524445496e-309"),
     ])
     def test_refused_rung_exits_2_naming_the_rung(self, capsys, argv, rung):
         assert main(["blowup", "--alpha", "0.5"] + argv) == 2

@@ -104,12 +104,12 @@ def _mittag_leffler_at_minus_one(alpha):
     return math.fsum((-1) ** k / math.gamma(alpha * k + 1.0) for k in range(600) if alpha * k + 1.0 < 171.0)
 
 
-def _seed_step(order, step, refinements=3):
+def _seed_step(order, step, refinements=1):
     """The ladder's seed: `step`, or 2^refinements T_cmp / 100 if smaller."""
     return min(step, 2.0 ** refinements * (comparison_lower_bound(order) / 100.0))
 
 
-def _ladder_direct(order, seed, refinements=3):
+def _ladder_direct(order, seed, refinements=1):
     """The blow-up ladder as one solve per rung: (t_lo, t_hi, trace)."""
     x = seed.escape_threshold
     top = _seed_step(order, seed.step, refinements)
@@ -534,9 +534,9 @@ class TestBlowupEstimate:
     def test_matches_one_solve_per_rung(self, alpha):
         # seed thresholds 1e10, a node value of the coarsest march and 1e300
         order = FractionalOrder(alpha)
-        coarsest = solve(SQUARE, 1.0, order, SolverConfig(_seed_step(order, 8e-4), 1.7, 1e10))
+        coarsest = solve(SQUARE, 1.0, order, SolverConfig(_seed_step(order, 2e-4), 1.7, 1e10))
         for x in (1e10, float(coarsest.values[len(coarsest.values) // 2]), 1e300):
-            seed = SolverConfig(8e-4, 1.7, escape_threshold=x)
+            seed = SolverConfig(2e-4, 1.7, escape_threshold=x)
             est = estimate_blowup(order, seed)
             assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed), x
 
@@ -553,14 +553,15 @@ class TestBlowupEstimate:
         # at threshold 1e300 every rung escapes at a step with no finite value,
         # here the first step with no corrector root, one past its last node
         order = FractionalOrder(0.5)
-        seed = SolverConfig(8e-4, 1.7, escape_threshold=1e300)
+        seed = SolverConfig(2e-4, 1.7, escape_threshold=1e300)
         est = estimate_blowup(order, seed)
         lost = solve(SQUARE, 1.0, order, seed)
         assert est.rungs[0].steps == lost.escape_index == len(lost.values)
         assert np.max(lost.values) < 1e3
         assert (est.t_lo, est.t_hi, est.refinement_trace) == _ladder_direct(order, seed)
 
-    @pytest.mark.parametrize("refinements", [1, 3])
+    # None: the default ladder, the two rungs the bracket reads
+    @pytest.mark.parametrize("refinements", [None, 1, 3])
     def test_one_solve_per_step(self, monkeypatch, refinements):
         calls = []
         original = fode.solve
@@ -570,20 +571,22 @@ class TestBlowupEstimate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(fode, "solve", counting)
-        est = estimate_blowup(FractionalOrder(0.5), SolverConfig(8e-4, 1.7), refinements=refinements)
-        assert len(calls) == refinements + 1
+        if refinements is None:
+            est, rungs = estimate_blowup(FractionalOrder(0.5), SolverConfig(2e-4, 1.7)), 2
+        else:
+            est, rungs = estimate_blowup(FractionalOrder(0.5), SolverConfig(2e-4, 1.7), refinements), refinements + 1
+        assert len(calls) == len(est.refinement_trace) == rungs
         assert {c.escape_threshold for c in calls} == {1e10}
-        assert len(est.refinement_trace) == refinements + 1
 
     @pytest.mark.parametrize(
         "alpha, growth",
         [(0.5, [127, 255, 511, 1023, 2047]), (0.9, [127, 255, 511, 1023, 2047, 4095, 8191])],
     )
     def test_weight_table_built_once_per_growth_step(self, monkeypatch, alpha, growth):
-        # the four rungs share one set of tables: the near lags B - 1 once, and
+        # the two rungs share one set of tables: the near lags B - 1 once, and
         # the lags 2L - 1 of each block level L once, by the first rung that
         # reaches it, where a march per rung on tables of its own computes the
-        # near lags and the low levels four times over
+        # near lags and the low levels twice
         asked = []
         original = frac_ops._pt_weights
 
@@ -592,7 +595,7 @@ class TestBlowupEstimate:
             return original(a, m)
 
         monkeypatch.setattr(frac_ops, "_pt_weights", counting)
-        estimate_blowup(FractionalOrder(alpha), SolverConfig(8e-4, 1.7))
+        estimate_blowup(FractionalOrder(alpha), SolverConfig(2e-4, 1.7))
         assert asked == growth
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -613,11 +616,11 @@ class TestBlowupEstimate:
 
     @pytest.mark.parametrize("alpha", [0.4, 0.6])
     def test_rung_escaping_mid_block_leaves_shared_tables_intact(self, alpha):
-        # the coarsest rung of the default ladder escapes inside a base block
-        # and abandons its block walk there; the rungs after it, on the same
-        # tables, give the bits of marches on tables of their own
+        # the coarser rung of the default ladder escapes inside a base block
+        # and abandons its block walk there; the finest rung, on the same
+        # tables, gives the bits of a march on tables of its own
         order = FractionalOrder(alpha)
-        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        est = estimate_blowup(order, SolverConfig(2e-4, 1.7))
         assert est.rungs[0].steps % B not in (0, B - 1)
         tables = frac_ops.LagTables.product_trapezoid(alpha)
         for rung in est.rungs:
@@ -633,15 +636,15 @@ class TestBlowupEstimate:
             raise AssertionError("weight tables built at alpha = 1")
 
         monkeypatch.setattr(frac_ops.LagTables, "product_trapezoid", refuse)
-        est = estimate_blowup(FractionalOrder(1.0), SolverConfig(8e-4, 1.7))
+        est = estimate_blowup(FractionalOrder(1.0), SolverConfig(2e-4, 1.7))
         assert est.t_lo <= 1.0 <= est.t_hi
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
     def test_rung_records(self, alpha):
         order = FractionalOrder(alpha)
-        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        est = estimate_blowup(order, SolverConfig(2e-4, 1.7))
         assert est.threshold == 1e10
-        assert [r.step for r in est.rungs] == [8e-4 / 2 ** i for i in range(4)]
+        assert [r.step for r in est.rungs] == [2e-4, 1e-4]
         for rung in est.rungs:
             traj = solve(SQUARE, 1.0, order, SolverConfig(rung.step, 1.7, est.threshold))
             assert rung.steps == traj.escape_index
@@ -662,12 +665,12 @@ class TestBlowupEstimate:
         assert got.value.trace == want.value.trace == []
 
     def test_ladder_does_not_scale_with_the_horizon(self):
-        # alpha = 0.1 blows up at 1.4e-6: the march at seed 1e-9, below the
-        # seed cap, escapes after about 1e4 steps, however far the horizon lies
+        # alpha = 0.1 blows up at 1.4e-6: the march at seed 2.5e-10, below the
+        # seed cap, escapes after about 5e3 steps, however far the horizon lies
         order = FractionalOrder(0.1)
-        far = estimate_blowup(order, SolverConfig(1e-9, 1.7, escape_threshold=1e10))
-        near = estimate_blowup(order, SolverConfig(1e-9, 1e-4, escape_threshold=1e10))
-        assert far.rungs[0].step == 1e-9
+        far = estimate_blowup(order, SolverConfig(2.5e-10, 1.7, escape_threshold=1e10))
+        near = estimate_blowup(order, SolverConfig(2.5e-10, 1e-4, escape_threshold=1e10))
+        assert far.rungs[0].step == 2.5e-10
         assert (far.t_lo, far.t_hi, far.refinement_trace) == (near.t_lo, near.t_hi, near.refinement_trace)
         assert (far.t_lo, far.t_hi) == pytest.approx((1.397e-6, 1.397375e-6), rel=1e-12)
 
@@ -677,16 +680,27 @@ class TestBlowupEstimate:
     @pytest.mark.parametrize(
         "alpha, steps, bracket",
         [
-            (0.3, [40, 80, 160, 320], (0.02189399270938726, 0.022099892327343877)),
-            (0.5, [220, 440, 880, 1762], (0.1761, 0.1764)),
-            (0.7, [572, 1146, 2292, 4586], (0.4585, 0.4588)),
-            (0.9, [1012, 2025, 4052, 8105], (0.8104, 0.8107)),
+            (0.3, [160, 320], (0.02189399270938726, 0.022099892327343877)),
+            (0.5, [880, 1762], (0.1761, 0.1764)),
+            (0.7, [2292, 4586], (0.4585, 0.4588)),
+            (0.9, [4052, 8105], (0.8104, 0.8107)),
         ],
     )
     def test_pinned_escape_indices(self, alpha, steps, bracket):
-        est = estimate_blowup(FractionalOrder(alpha), SolverConfig(8e-4, 1.7, 1e10))
+        est = estimate_blowup(FractionalOrder(alpha), SolverConfig(2e-4, 1.7, 1e10))
         assert [r.steps for r in est.rungs] == steps
         assert (est.t_lo, est.t_hi) == bracket
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.floats(0.0075, 1.0))
+    def test_two_rungs_give_the_bracket_of_four(self, alpha):
+        # the default ladder marches the last two rungs of the seed-8e-4, four-rung
+        # ladder: the seed cap and the halvings leave the same finest step
+        order = FractionalOrder(alpha)
+        two = estimate_blowup(order, SolverConfig(2e-4, 1.7))
+        four = estimate_blowup(order, SolverConfig(8e-4, 1.7), refinements=3)
+        assert (two.t_lo, two.t_hi) == (four.t_lo, four.t_hi)
+        assert two.refinement_trace == four.refinement_trace[-2:]
 
     def test_no_blowup_below_horizon(self):
         with pytest.raises(NoBlowupDetected):
@@ -712,20 +726,20 @@ class TestBlowupEstimate:
         assert f"refinements {refinements}" in str(err.value)
 
     def test_seed_is_capped_by_the_comparison_bound(self):
-        # below alpha ~ 0.33 the default seed 8e-4 is above 2^3 T_cmp / 100, so the
+        # below alpha ~ 0.33 the default seed 2e-4 is above 2 T_cmp / 100, so the
         # ladder marches from the cap: its finest rung takes at least ~100 steps
         for alpha in (0.01, 0.1, 0.3):
             order = FractionalOrder(alpha)
-            est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
-            assert est.rungs[0].step == math.ldexp(comparison_lower_bound(order) / fode.SEED_STEPS, 3) < 8e-4
+            est = estimate_blowup(order, SolverConfig(2e-4, 1.7))
+            assert est.rungs[0].step == math.ldexp(comparison_lower_bound(order) / fode.SEED_STEPS, 1) < 2e-4
             assert est.rungs[-1].steps >= fode.SEED_STEPS
         # above it the seed stays the caller's, the largest the ladder takes
-        assert estimate_blowup(FractionalOrder(0.5), SolverConfig(8e-4, 1.7)).rungs[0].step == 8e-4
+        assert estimate_blowup(FractionalOrder(0.5), SolverConfig(2e-4, 1.7)).rungs[0].step == 2e-4
 
     def test_underflowing_comparison_bound_is_refused_naming_alpha(self, monkeypatch):
         monkeypatch.setattr(fode, "solve", lambda *args, **kwargs: pytest.fail("a rung was marched"))
         with pytest.raises(ValueError, match="alpha 0.0015"):
-            estimate_blowup(FractionalOrder(0.0015), SolverConfig(8e-4, 1.7))
+            estimate_blowup(FractionalOrder(0.0015), SolverConfig(2e-4, 1.7))
 
 
 def _rungs(steps, finest):
@@ -739,17 +753,17 @@ class TestBracket:
     @given(
         T=st.floats(1e-60, 2.0),
         per_step=st.floats(50.0, 2e4),
-        picks=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+        picks=st.lists(st.integers(0, 1), min_size=2, max_size=2),
     )
     def test_contains_the_blow_up_time_of_the_offset_model(self, T, per_step, picks):
-        # rung i escapes at e_i = T + o_i h_i with o_i in [-1.60, 0.32], the offsets
-        # measured against 100x finer marches; e_i is a whole number of steps, so
-        # each rung takes one of the (one or two) step counts in that window
+        # each of the two rungs escapes at e_i = T + o_i h_i with o_i in [-1.60, 0.53],
+        # the offsets measured against 100x finer marches; e_i is a whole number of
+        # steps, so each rung takes one of the (one or two) step counts in that window
         finest = T / per_step
         steps = []
         for i, pick in enumerate(picks):
-            h = math.ldexp(finest, 3 - i)
-            lo, hi = math.ceil(T / h - 1.6), math.floor(T / h + 0.32)
+            h = math.ldexp(finest, 1 - i)
+            lo, hi = math.ceil(T / h - 1.6), math.floor(T / h + 0.53)
             assume(lo <= hi)
             steps.append(min(lo + pick, hi))
         rungs = _rungs(steps, finest)
@@ -770,12 +784,13 @@ class TestBracket:
         t_lo, t_hi = fode._bracket(_rungs(steps, 1e-3))
         assert (t_lo, t_hi) == pytest.approx(((steps[1] - 1) * 1e-3, (steps[1] + 2) * 1e-3), rel=1e-15)
 
-    # the six alphas of Known defect 1 and three below its edge 0.2241; each
-    # default bracket contains the escape of a march 100x finer
-    @pytest.mark.parametrize("alpha", [0.225, 0.45, 0.525, 0.625, 0.7, 0.975, 0.05, 0.1, 0.2])
+    # the six alphas of Known defect 1, three below its edge 0.2241 and two
+    # whose finest offsets read +0.53 and +0.49, the ends of the documented
+    # band; each default bracket contains the escape of a march 100x finer
+    @pytest.mark.parametrize("alpha", [0.225, 0.45, 0.525, 0.625, 0.7, 0.975, 0.05, 0.1, 0.2, 0.002, 0.006])
     def test_contains_the_escape_of_a_march_100x_finer(self, alpha):
         order = FractionalOrder(alpha)
-        est = estimate_blowup(order, SolverConfig(8e-4, 1.7))
+        est = estimate_blowup(order, SolverConfig(2e-4, 1.7))
         fine = solve(SQUARE, 1.0, order, SolverConfig(est.rungs[-1].step / 100.0, 1.7))
         assert fine.status == "escaped" and fine.escape_index == len(fine.values)  # at root loss
         assert est.t_lo <= fine.escape_time <= est.t_hi
