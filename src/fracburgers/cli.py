@@ -152,7 +152,7 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
     t0 = _time.perf_counter()
     order = FractionalOrder(args.alpha)
     config = _fode.SolverConfig(args.step, args.horizon)
-    est = _fode.estimate_blowup(order, config, refinements=args.refinements)
+    est = _fode.estimate_blowup(order, config)
     lower = _bounds.lower_bound_T(order, args.delta)
     upper = _bounds.upper_bound_b(order)
     if est.t_hi < lower or est.t_lo > upper + 0.01:
@@ -306,10 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="bracket the blow-up time, JSON report")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--refinements", type=int, default=1,
-                   help="number of step halvings (>= 1); the bracket reads the last two rungs alone")
     p.add_argument("--step", type=float, default=2e-4,
-                   help="largest seed step of the ladder, halved --refinements times (see estimate_blowup)")
+                   help="step of the coarse rung, capped at 2 T_cmp / 100; the fine rung takes half (see estimate_blowup)")
     p.add_argument("--horizon", type=float, default=1.7)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="delta of the reported lower bound")
     p.set_defaults(func=_cmd_blowup)

@@ -390,50 +390,35 @@ def _bracket(rungs: Sequence[RungRecord]) -> tuple[float, float]:
     return fine.steps * h - h, fine.steps * h + 2.0 * h
 
 
-def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig, refinements: int = 1) -> BlowupEstimate:
+def estimate_blowup(order: FractionalOrder, config_seed: SolverConfig) -> BlowupEstimate:
     """Bracket the blow-up time of ^C D^alpha v = v^2, v(0) = 1.
 
-    Marches a step ladder: a seed step halved `refinements` times, every
-    rung at the seed's escape threshold and horizon. The seed is the
-    config's step or, if smaller, 2^refinements T_cmp / `SEED_STEPS` with
-    T_cmp the proved :func:`bounds.comparison_lower_bound`. Each rung gives
-    one escape index, and :func:`_bracket` the bracket, which reads the last
-    two rungs alone: the default ladder marches those two and nothing else.
-    Halvings of normal doubles are exact, so seed s with `refinements`
-    r + k gives the bracket of seed s / 2^k with r: the finest step is the
-    same, and the longer ladder only adds coarser rungs to the trace.
+    Marches two rungs, the two :func:`_bracket` reads: a seed step, then
+    half of it, each at the seed's escape threshold and horizon. The seed is
+    the config's step or, if smaller, 2 T_cmp / `SEED_STEPS` with T_cmp the
+    proved :func:`bounds.comparison_lower_bound`, so the finest rung takes
+    at least about `SEED_STEPS` steps. Each rung gives one escape index.
 
     At a fractional alpha the rungs read one set of weight tables
     (:meth:`frac_ops.LagTables.product_trapezoid`), built for this call, each
     level once, with the bits of tables of their own; at alpha = 1 none is
     built. The estimate keeps one :class:`RungRecord` per rung.
 
-    Every rung's grid is checked before the first march; a refused rung
-    raises ValueError naming its index and step, the seed step and
-    `refinements`. The first rung that completes its horizon without
-    escaping raises :class:`NoBlowupDetected` with the trace before it.
+    Both rungs' grids are checked before the first march; a refused rung
+    raises ValueError naming its index and step and the seed step. The first
+    rung that completes its horizon without escaping raises
+    :class:`NoBlowupDetected` with the trace before it.
     """
-    if refinements < 1:
-        raise ValueError(f"refinements must be >= 1, got {refinements}")
-
     f = Nonlinearity.square()
     threshold = config_seed.escape_threshold
-    # ldexp halves a step exactly and underflows to a refused 0 where 2.0 ** i
-    # would overflow, so a huge `refinements` stops after about 1100 rungs; the
-    # cap is scaled up only where that stays below the seed
-    seed = config_seed.step
-    finest = comparison_lower_bound(order) / SEED_STEPS
-    if math.ldexp(seed, -refinements) > finest:
-        seed = math.ldexp(finest, refinements)
+    seed = min(config_seed.step, 2.0 * (comparison_lower_bound(order) / SEED_STEPS))
     rungs = []
-    for i in range(refinements + 1):
-        step = math.ldexp(seed, -i)
+    for i, step in enumerate((seed, 0.5 * seed)):
         try:
             rungs.append(replace(config_seed, step=step))
         except ValueError as exc:
             raise ValueError(
-                f"ladder rung {i} (step {step!r}, the seed step {seed!r} "
-                f"halved {i} times; refinements {refinements}) is refused: {exc}"
+                f"ladder rung {i} (step {step!r}, the seed step {seed!r} halved {i} times) is refused: {exc}"
             ) from exc
 
     tables = None if order.is_classical else LagTables.product_trapezoid(order.alpha)

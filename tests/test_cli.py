@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -51,16 +53,22 @@ def reference_write_csv(path, header, columns):
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 123.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, 1 / 3, -2.5e-310]
 
-README_PRODUCTS = [
-    ["solve", "--alpha", "0.5", "--h", "1e-4", "--t-max", "1.0"],
-    ["solve", "--alpha", "0.5", "--h", "1e-4", "--t-max", "5", "--cap", "4"],
-    ["impulse"],
-    ["caputo", "--alpha", "0.5", "--input", "solve.csv"],
-    ["pde", "--form", "u", "--alpha", "0.5", "--cells", "100", "--h", "1e-5", "--t-max", "0.002",
-     "--bc", "dirichlet", "--initial", "minus-x"],
-    ["pde", "--form", "rho", "--alpha", "0.5", "--cells", "64", "--h", "3e-4", "--t-max", "0.06",
-     "--bc", "periodic", "--initial", "market-critical"],
-]
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_commands():
+    """The argv of each `fracburgers` command in the README's "## CLI" block, in order.
+
+    Continuation lines are joined and comments dropped, as a shell reads them.
+    """
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    return [words[1:] for words in lines if words and words[0] == "fracburgers"]
+
+
+README_COMMANDS = readme_cli_commands()
+# the data products, each written into its --out directory
+README_PRODUCTS = [argv for argv in README_COMMANDS if "--out" in argv]
 
 
 class TestCsvWriter:
@@ -86,8 +94,10 @@ class TestCsvWriter:
         cli._write_csv(tmp_path / "new.csv", ["t", "v"], (np.empty(0), np.empty(0)))
         assert (tmp_path / "new.csv").read_bytes() == b"t,v\n"
 
-    @pytest.mark.parametrize("argv", README_PRODUCTS, ids=["solve", "solve-capped", "impulse", "caputo", "pde-u", "pde-rho"])
-    def test_readme_products_match_reference_writer(self, tmp_path, monkeypatch, argv):
+    @pytest.mark.parametrize("i", range(6), ids=["solve", "solve-capped", "impulse", "caputo", "pde-u", "pde-rho"])
+    def test_readme_products_match_reference_writer(self, tmp_path, monkeypatch, i):
+        assert len(README_PRODUCTS) == 6
+        argv = README_PRODUCTS[i]
         written = []
         write_csv = cli._write_csv
 
@@ -95,14 +105,22 @@ class TestCsvWriter:
             written.append((header, columns))
             write_csv(path, header, columns)
 
-        if argv[0] == "caputo":
-            assert main(README_PRODUCTS[1] + ["--out", str(tmp_path)]) == 0
-            argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "caputo":  # its input is the solve.csv of the last solve before it
+            assert main([prior for prior in README_PRODUCTS[:i] if prior[0] == "solve"][-1]) == 0
         monkeypatch.setattr(cli, "_write_csv", capture)
-        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert main(argv) == 0
         [(header, columns)] = written
         reference_write_csv(tmp_path / "ref.csv", header, columns)
-        assert (tmp_path / f"{argv[0]}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        out = Path(argv[argv.index("--out") + 1])
+        assert (out / f"{argv[0]}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_readme_cli_block_runs(self, tmp_path, monkeypatch, capsys):
+        # every command of the README's CLI block, in order, as printed there
+        monkeypatch.chdir(tmp_path)
+        assert {argv[0] for argv in README_COMMANDS} == {"bounds", "solve", "blowup", "impulse", "caputo", "pde"}
+        for argv in README_COMMANDS:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 class TestBounds:
@@ -272,15 +290,21 @@ class TestBlowup:
         assert rc == 4
 
     @pytest.mark.parametrize("argv, rung", [
-        # every rung is refused before any march: the step halves to 0, or horizon / step overflows
+        # the fine rung is refused before any march: the step halves to 0, or horizon / step overflows
         (["--step", "5e-324", "--horizon", "1e-300"], "ladder rung 1 (step 0.0"),
-        (["--refinements", "1100"], "ladder rung 1011 (step 9.113902524445496e-309"),
+        (["--step", "1e-300", "--horizon", "1.5e8"], "ladder rung 1 (step 5e-301"),
     ])
-    def test_refused_rung_exits_2_naming_the_rung(self, capsys, argv, rung):
+    def test_refused_rung_exits_2_naming_the_rung(self, capsys, monkeypatch, argv, rung):
+        monkeypatch.setattr(_fode, "solve", lambda *args, **kwargs: pytest.fail("a rung was marched"))
         assert main(["blowup", "--alpha", "0.5"] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {rung}") and err.count("\n") == 1
-        assert "refinements" in err
+        assert f"the seed step {argv[1]}" in err
+
+    def test_refinements_flag_is_refused(self, capsys):
+        # the ladder marches two rungs; a --refinements is an error, not ignored
+        assert main(["blowup", "--alpha", "0.5", "--refinements", "1"]) == 2
+        assert "unrecognized arguments: --refinements" in capsys.readouterr().err
 
     def test_in_process_report_matches_a_fresh_process(self, capsys):
         # the parser and nothing else outlives a call of main, so a process
@@ -524,7 +548,7 @@ def test_nonpositive_or_infinite_step_and_horizon_exit_2(tmp_path, capsys, comma
 TYPICAL_OPTIONS = {
     "bounds": {"--alpha": "0.5", "--delta": "0.5"},
     "solve": {"--alpha": "0.5", "--h": "0.01", "--t-max": "1", "--cap": None, "--v0": "1", "--threshold": "1e6"},
-    "blowup": {"--alpha": "0.5", "--refinements": "1", "--step": "0.01", "--delta": "0.5"},
+    "blowup": {"--alpha": "0.5", "--step": "0.01", "--delta": "0.5"},
     "impulse": {"--alphas": "0.5,1", "--times": "1,2", "--h": "0.01", "--t-max": "3"},
     "caputo": {"--alpha": "0.5"},
     "pde": {"--alpha": "0.5", "--cells": "8", "--h": "1e-3", "--t-max": "0.01", "--initial": "minus-x",
@@ -589,7 +613,7 @@ def test_every_float_flag_ends_in_a_documented_exit_code(tmp_path_factory, case,
 
 @pytest.mark.parametrize("argv, keys", [
     (["bounds", "--alpha", "0.5"], ["alpha", "delta"]),
-    (["blowup", "--alpha", "1"], ["alpha", "refinements", "step", "horizon", "delta"]),
+    (["blowup", "--alpha", "1"], ["alpha", "step", "horizon", "delta"]),
     (["solve", "--alpha", "0.5", "--h", "0.01", "--t-max", "0.1"],
      ["alpha", "h", "t_max", "cap", "v0", "threshold"]),
     (["impulse", "--t-max", "1"], ["alphas", "times", "h", "t_max"]),

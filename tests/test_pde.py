@@ -560,6 +560,27 @@ class TestSeparableReproduction:
             errs.append(np.max(np.abs(field.slices[-1] - exact)))
         assert np.log2(errs[0] / errs[1]) >= 0.8
 
+    # (alpha, t_end, cells, c): h^alpha = c dx holds the CFL ratio fixed under refinement
+    @pytest.mark.parametrize("alpha, t_end, cells, c", [
+        (0.8, 0.3, [25, 50, 100, 200], 0.15),  # measured 0.957, 0.964, 0.984
+        (0.5, 0.08, [25, 50, 100], 0.25),  # measured 0.966, 0.988
+    ])
+    def test_fractional_convergence_order(self, alpha, t_end, cells, c):
+        # the product-form field -x v(t) with Dirichlet inflow from a fine
+        # scalar march: first order in dx, the order of the upwind flux on a
+        # linear field, at every doubling of the cells
+        order = FO(alpha)
+        fine = solve(Nonlinearity.square(), 1.0, order, SolverConfig(t_end / 16384, t_end * 1.01))
+        bc = BoundaryRule.dirichlet(lambda x, t: -x * fine.value_at(t))
+        errs = []
+        for n in cells:
+            sp = SpatialGrid(-1.0, 1.0, n)
+            count = math.ceil(t_end / (c * sp.dx) ** (1.0 / alpha))
+            field = solve_u(-sp.nodes(False), order, sp, TimeGrid(t_end / count, count), bc)
+            exact = -field.x * fine.value_at(field.time.horizon)
+            errs.append(np.max(np.abs(field.slices[-1] - exact)))
+        assert min(np.log2(np.divide(errs[:-1], errs[1:]))) >= 0.9
+
 
 class TestProductFormFields:
     def test_separable_solution_signs_and_zero_line(self):
